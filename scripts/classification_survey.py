@@ -11,52 +11,29 @@ failing and the support families fatten.
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
-from jastit.frames import JstitFrame, is_mixsucc, is_regular, theta
-
-
-@dataclass
-class Config:
-    frames: int = 60
-    min_moments: int = 3
-    max_moments: int = 8
-    dense_grid: tuple = (0.0, 0.25, 0.5, 0.75)
-    extra_pairs: int = 2
-    seed: int = 0
+from jastit.frames import (
+    JstitFrame, TemporalFrame, is_mixsucc, is_regular, theta,
+)
+from jastit.generators import random_preorder_extension, tree_data
 
 
-def random_frame(rng: random.Random, cfg: Config, dense_p: float) -> JstitFrame:
-    n = rng.randint(cfg.min_moments, cfg.max_moments)
-    names = [f"m{i}" for i in range(n)]
-    parents = [None] + [rng.randrange(i) for i in range(1, n)]
-    covers = [(names[p], names[i])
-              for i, p in enumerate(parents) if p is not None]
-    dense = [e for e in covers if rng.random() < dense_p]
-    frame = JstitFrame(names, covers, agents=2, dense=dense)
+def random_frame(rng: random.Random, args, dense_p: float) -> JstitFrame:
+    n = rng.randint(args.min_moments, args.max_moments)
+    names, covers, dense = tree_data(rng, n, dense_p)
     # grow r and re beyond the temporal order, keeping leq <= r <= re
-    r = set(frame.leq)
-    for _ in range(rng.randint(0, cfg.extra_pairs)):
-        r.add((rng.choice(names), rng.choice(names)))
-        for x, y in list(r):
-            for y2, z in list(r):
-                if y == y2:
-                    r.add((x, z))
-    re = set(r)
-    for _ in range(rng.randint(0, cfg.extra_pairs)):
-        re.add((rng.choice(names), rng.choice(names)))
-        for x, y in list(re):
-            for y2, z in list(re):
-                if y == y2:
-                    re.add((x, z))
-    return JstitFrame(names, covers, agents=2, dense=dense,
-                      r=frozenset(r), re=frozenset(re))
+    base = TemporalFrame(names, covers)
+    r = random_preorder_extension(rng, base, base.leq,
+                                  rng.randint(0, args.extra_pairs))
+    re = random_preorder_extension(rng, base, r,
+                                   rng.randint(0, args.extra_pairs))
+    return JstitFrame(names, covers, agents=2, dense=dense, r=r, re=re)
 
 
-def survey_cell(rng: random.Random, cfg: Config, dense_p: float) -> dict:
+def survey_cell(rng: random.Random, args, dense_p: float) -> dict:
     mix = reg = inhabited = families = 0
-    for _ in range(cfg.frames):
-        f = random_frame(rng, cfg, dense_p)
+    for _ in range(args.frames):
+        f = random_frame(rng, args, dense_p)
         if is_mixsucc(f)[0]:
             mix += 1
         if is_regular(f)[0]:
@@ -68,8 +45,8 @@ def survey_cell(rng: random.Random, cfg: Config, dense_p: float) -> dict:
                 inhabited += 1
     return {
         "dense_p": dense_p,
-        "mixsucc": mix / cfg.frames,
-        "regular": reg / cfg.frames,
+        "mixsucc": mix / args.frames,
+        "regular": reg / args.frames,
         "inhabited": inhabited,
         "families": families,
     }
@@ -77,29 +54,27 @@ def survey_cell(rng: random.Random, cfg: Config, dense_p: float) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--frames", type=int, default=Config.frames,
+    ap.add_argument("--frames", type=int, default=60,
                     help="frames per density cell")
-    ap.add_argument("--min-moments", type=int, default=Config.min_moments)
-    ap.add_argument("--max-moments", type=int, default=Config.max_moments)
+    ap.add_argument("--min-moments", type=int, default=3)
+    ap.add_argument("--max-moments", type=int, default=8)
     ap.add_argument("--dense-grid", default="0,0.25,0.5,0.75",
                     help="comma list of annotation probabilities")
-    ap.add_argument("--extra-pairs", type=int, default=Config.extra_pairs,
+    ap.add_argument("--extra-pairs", type=int, default=2,
                     help="max extra epistemic relation pairs")
-    ap.add_argument("--seed", type=int, default=Config.seed)
+    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     grid = tuple(float(x) for x in args.dense_grid.split(","))
-    cfg = Config(args.frames, args.min_moments, args.max_moments, grid,
-                 args.extra_pairs, args.seed)
 
-    print(f"{cfg.frames} frames per cell, {cfg.min_moments}-{cfg.max_moments} "
+    print(f"{args.frames} frames per cell, {args.min_moments}-{args.max_moments} "
           "moments, 2 agents")
     header = f"{'dense_p':>8} {'mixsucc':>9} {'regular':>9} " \
              f"{'moments w/ theta':>17} {'total families':>15}"
     print(header)
     print("-" * len(header))
-    rng = random.Random(cfg.seed)
-    for dense_p in cfg.dense_grid:
-        row = survey_cell(rng, cfg, dense_p)
+    rng = random.Random(args.seed)
+    for dense_p in grid:
+        row = survey_cell(rng, args, dense_p)
         print(f"{row['dense_p']:>8.2f} {row['mixsucc']:>8.0%} "
               f"{row['regular']:>8.0%} {row['inhabited']:>17d} "
               f"{row['families']:>15d}")

@@ -12,8 +12,6 @@ falsify or validate.
 import argparse
 import random
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from jastit.countermodels import (
     RegWitness,
@@ -25,67 +23,36 @@ from jastit.countermodels import (
 )
 from jastit.diagnostics import violations
 from jastit.documents import canonical_json, countermodel_document
-from jastit.frames import JstitFrame, StitFrame, is_mixsucc, is_regular
+from jastit.frames import JstitFrame, is_mixsucc, is_regular
+from jastit.generators import mixsucc_witness_frame, tree_data
 from jastit.models import validate_model
 from jastit.semantics import satisfies
 from jastit.syntax import render
 
 
-@dataclass
-class Config:
-    kind: str = "stit"
-    count: int = 20
-    min_moments: int = 4
-    max_moments: int = 9
-    seed: int = 0
-    dump: Optional[str] = None
+def moment_count(rng: random.Random, args) -> int:
+    return rng.randint(max(args.min_moments, 4), args.max_moments)
 
 
-def random_tree(rng: random.Random, n: int):
-    names = [f"m{i}" for i in range(n)]
-    parents = [None] + [rng.randrange(i) for i in range(1, n)]
-    covers = [(names[p], names[i])
-              for i, p in enumerate(parents) if p is not None]
-    return names, covers
-
-
-def witness_frame(rng: random.Random, cfg: Config) -> StitFrame:
-    """A stit frame failing the mixed-successor condition."""
+def irregular_frame(rng: random.Random, args) -> JstitFrame:
     while True:
-        names, covers = random_tree(
-            rng, rng.randint(max(cfg.min_moments, 4), cfg.max_moments))
-        kids: dict = {}
-        for a, b in covers:
-            kids.setdefault(a, []).append(b)
-        branching = [m for m, cs in kids.items() if len(cs) >= 2]
-        if not branching:
-            continue
-        a = rng.choice(branching)
-        c = rng.choice(kids[a])
-        return StitFrame(names, covers, 2, dense=[(a, c)])
-
-
-def irregular_frame(rng: random.Random, cfg: Config) -> JstitFrame:
-    while True:
-        names, covers = random_tree(
-            rng, rng.randint(max(cfg.min_moments, 4), cfg.max_moments))
-        dense = [e for e in covers if rng.random() < 0.5]
+        names, covers, dense = tree_data(rng, moment_count(rng, args), 0.5)
         frame = JstitFrame(names, covers, agents=2, dense=dense)
         if not is_regular(frame)[0]:
             return frame
 
 
-def one_round(rng: random.Random, cfg: Config):
-    if cfg.kind == "jstit":
-        frame = irregular_frame(rng, cfg)
+def one_round(rng: random.Random, args):
+    if args.kind == "jstit":
+        frame = irregular_frame(rng, args)
         _, wit = is_regular(frame)
         w = RegWitness(*wit)
         model, idx = build_jstit_countermodel(frame, w)
     else:
-        frame = witness_frame(rng, cfg)
+        frame, _, _ = mixsucc_witness_frame(rng, moment_count(rng, args))
         _, pair = is_mixsucc(frame)
         w = complete_mixsucc_witness(frame, *pair)
-        if cfg.kind == "stit":
+        if args.kind == "stit":
             model, idx = build_stit_countermodel(frame, w)
         else:
             model, idx = build_temporal_countermodel(
@@ -98,23 +65,21 @@ def one_round(rng: random.Random, cfg: Config):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--kind", choices=("stit", "temporal", "jstit"),
-                    default=Config.kind)
-    ap.add_argument("--count", type=int, default=Config.count)
-    ap.add_argument("--min-moments", type=int, default=Config.min_moments)
-    ap.add_argument("--max-moments", type=int, default=Config.max_moments)
-    ap.add_argument("--seed", type=int, default=Config.seed)
+                    default="stit")
+    ap.add_argument("--count", type=int, default=20)
+    ap.add_argument("--min-moments", type=int, default=4)
+    ap.add_argument("--max-moments", type=int, default=9)
+    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--dump", metavar="PATH",
                     help="write the last counter-model document here")
     args = ap.parse_args(argv)
-    cfg = Config(args.kind, args.count, args.min_moments, args.max_moments,
-                 args.seed, args.dump)
 
     print(f"target: {render(TARGET_FORMULA)}")
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     ok = 0
     last = None
-    for i in range(cfg.count):
-        model, idx, w, bad, falsified = one_round(rng, cfg)
+    for i in range(args.count):
+        model, idx, w, bad, falsified = one_round(rng, args)
         last = (model, idx, w)
         status = "falsified" if falsified and not bad else "FAILED"
         print(f"[{i:3d}] {len(model.frame.moments)} moments, "
@@ -123,13 +88,13 @@ def main(argv=None) -> int:
         if falsified and not bad:
             ok += 1
 
-    print(f"{ok}/{cfg.count} rounds falsified the target on a validated model")
-    if cfg.dump and last is not None:
+    print(f"{ok}/{args.count} rounds falsified the target on a validated model")
+    if args.dump and last is not None:
         model, idx, w = last
-        with open(cfg.dump, "w", encoding="utf-8") as fh:
+        with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(countermodel_document(model, idx, w)))
-        print(f"wrote last counter-model document to {cfg.dump}")
-    return 0 if ok == cfg.count else 1
+        print(f"wrote last counter-model document to {args.dump}")
+    return 0 if ok == args.count else 1
 
 
 if __name__ == "__main__":

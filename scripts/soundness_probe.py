@@ -12,33 +12,22 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 
-from jastit.calculus import match_axiom
+from jastit.calculus import SCHEME_IDS, match_axiom
 from jastit.diagnostics import ResourceBoundExceeded
 from jastit.documents import canonical_json, dump_model
+from jastit.generators import scheme_instance
 from jastit.semantics import SearchBounds, find_countermodel
 from jastit.syntax import (
-    And, Announced, App, Box, Check, Cstit, Knows, Not, ProofVar, PropVar,
-    Proves, Sum, dia, disj, implies, render,
+    And, Announced, Box, Cstit, Knows, Not, ProofVar, PropVar, render,
 )
 
-SCHEMES = ("A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9")
 POLYS = (ProofVar("x"), ProofVar("y"))
 
 
-@dataclass
-class Config:
-    per_scheme: int = 25
-    agents: int = 2
-    max_moments: int = 2
-    budget: int = 200_000
-    seed: int = 0
-    schemes: tuple = SCHEMES
-
-
 def filler(rng: random.Random, agents: int, depth: int = 2):
-    """Small random formula to substitute into a scheme."""
+    """Small random formula to substitute into a scheme; small universes
+    keep the bounded search tractable."""
     if depth == 0 or rng.random() < 0.4:
         return PropVar(rng.choice("pq"))
     k = rng.randrange(6)
@@ -56,89 +45,31 @@ def filler(rng: random.Random, agents: int, depth: int = 2):
     return Announced(rng.choice(POLYS))
 
 
-def instance(rng: random.Random, scheme: str, agents: int):
-    a, b = filler(rng, agents), filler(rng, agents)
-    s, t = rng.choice(POLYS), rng.choice(POLYS)
-    j = rng.randrange(agents)
-    if scheme == "A0":
-        return rng.choice((
-            implies(a, a),
-            implies(a, implies(b, a)),
-            implies(implies(implies(a, b), a), a),
-            implies(And(a, b), a),
-            implies(a, disj(a, b)),
-            implies(Not(Not(a)), a),
-            implies(implies(a, b), implies(Not(b), Not(a))),
-            disj(a, Not(a)),
-        ))
-    if scheme == "A1":
-        wrap = (lambda g: Box(g)) if rng.random() < 0.5 \
-            else (lambda g: Cstit(j, g))
-        k = rng.randrange(3)
-        if k == 0:
-            return implies(wrap(implies(a, b)), implies(wrap(a), wrap(b)))
-        if k == 1:
-            return implies(wrap(a), a)
-        poss = Not(wrap(Not(a)))
-        return implies(poss, wrap(poss))
-    if scheme == "A2":
-        return implies(Box(a), Cstit(j, a))
-    if scheme == "A3":
-        n = 1 if agents < 2 else rng.randint(1, 2)
-        who = rng.sample(range(agents), n)
-        stits = [Cstit(jj, filler(rng, agents)) for jj in who]
-        if n == 1:
-            return implies(dia(stits[0]), dia(stits[0]))
-        return implies(And(dia(stits[0]), dia(stits[1])),
-                       dia(And(stits[0], stits[1])))
-    if scheme == "A4":
-        return implies(Proves(s, implies(a, b)),
-                       implies(Proves(t, a), Proves(App(s, t), b)))
-    if scheme == "A5":
-        return implies(Proves(t, a),
-                       And(Proves(Check(t), Proves(t, a)), Knows(a)))
-    if scheme == "A6":
-        return implies(disj(Proves(s, a), Proves(t, a)),
-                       Proves(Sum(s, t), a))
-    if scheme == "A7":
-        k = rng.randrange(3)
-        if k == 0:
-            return implies(Knows(implies(a, b)), implies(Knows(a), Knows(b)))
-        if k == 1:
-            return implies(Knows(a), a)
-        return implies(Knows(a), Knows(Knows(a)))
-    if scheme == "A8":
-        return implies(Knows(a), Box(Knows(Box(a))))
-    assert scheme == "A9"
-    return implies(Box(Announced(t)), Knows(Box(Announced(t))))
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--per-scheme", type=int, default=Config.per_scheme)
-    ap.add_argument("--agents", type=int, default=Config.agents)
-    ap.add_argument("--max-moments", type=int, default=Config.max_moments)
-    ap.add_argument("--budget", type=int, default=Config.budget)
-    ap.add_argument("--seed", type=int, default=Config.seed)
-    ap.add_argument("--schemes", default=",".join(SCHEMES),
+    ap.add_argument("--per-scheme", type=int, default=25)
+    ap.add_argument("--agents", type=int, default=2)
+    ap.add_argument("--max-moments", type=int, default=2)
+    ap.add_argument("--budget", type=int, default=200_000)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--schemes", default=",".join(SCHEME_IDS),
                     help="comma list, e.g. A4,A5,A6")
     args = ap.parse_args(argv)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    unknown = [s for s in schemes if s not in SCHEMES]
+    unknown = [s for s in schemes if s not in SCHEME_IDS]
     if unknown:
         ap.error(f"unknown scheme(s): {', '.join(unknown)}")
-    cfg = Config(args.per_scheme, args.agents, args.max_moments,
-                 args.budget, args.seed, schemes)
 
-    rng = random.Random(cfg.seed)
-    bounds = SearchBounds(max_moments=cfg.max_moments, agents=cfg.agents,
-                          budget=cfg.budget)
+    rng = random.Random(args.seed)
+    bounds = SearchBounds(max_moments=args.max_moments, agents=args.agents,
+                          budget=args.budget)
     found = 0
-    for scheme in cfg.schemes:
+    for scheme in schemes:
         clear = bound_hits = 0
         t0 = time.perf_counter()
-        for _ in range(cfg.per_scheme):
-            f = instance(rng, scheme, cfg.agents)
+        for _ in range(args.per_scheme):
+            f = scheme_instance(rng, scheme, args.agents, filler,
+                                lambda r: r.choice(POLYS))
             assert match_axiom(f) is not None, render(f)
             try:
                 hit = find_countermodel(f, bounds)
@@ -155,7 +86,7 @@ def main(argv=None) -> int:
                 print(canonical_json(dump_model(model)), end="")
         dt = time.perf_counter() - t0
         note = f", {bound_hits} hit the budget" if bound_hits else ""
-        print(f"{scheme}: {clear}/{cfg.per_scheme} instances clear{note} "
+        print(f"{scheme}: {clear}/{args.per_scheme} instances clear{note} "
               f"({dt:.2f}s)")
 
     if found:

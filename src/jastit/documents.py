@@ -40,7 +40,8 @@ structures serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Union
+from dataclasses import fields
+from typing import Any, Optional, Union, get_args
 
 from .calculus import (
     Axiom, BoxNec, CstitNec, Justification, KNec, MP, Proof, RCS, RD,
@@ -52,9 +53,8 @@ from .frames import JstitFrame, TemporalFrame
 from .models import ConstantSpecification, EVERYTHING, JstitModel, Universe
 from .semantics import Index
 from .syntax import (
-    And, Announced, App, Box, Check, Cstit, Formula, Knows, Not, ParseError,
-    Polynomial, ProofConst, ProofVar, PropVar, Proves, Sum, parse_formula,
-    parse_polynomial, render, render_polynomial,
+    Formula, ParseError, Polynomial, parse_formula, parse_polynomial, render,
+    render_polynomial,
 )
 
 __all__ = [
@@ -75,6 +75,11 @@ def canonical_json(obj: Any) -> str:
 
 # ---------------------------------------------------------------------------
 # small shape helpers
+
+def _is_int(x: Any) -> bool:
+    """JSON true/false load as bool, which Python counts as an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
 
 def _need(doc: dict, key: str, where: str) -> Any:
     if key not in doc:
@@ -142,7 +147,7 @@ def _frame_from(doc: dict, default_agents: int, where: str) -> JstitFrame:
     order = _pair_list(doc.get("order", []), f"{where}.order")
     dense = _pair_list(doc.get("dense", []), f"{where}.dense")
     agents = doc.get("agents", default_agents)
-    if not isinstance(agents, int):
+    if not _is_int(agents):
         raise DocumentError(f"{where}.agents must be an integer")
 
     choice = None
@@ -164,7 +169,7 @@ def _frame_from(doc: dict, default_agents: int, where: str) -> JstitFrame:
                 raise DocumentError(f"{where}.choice[{key!r}] must be a list of cells")
             named_cells = []
             for cell in cells:
-                if not isinstance(cell, list) or not all(isinstance(i, int) for i in cell):
+                if not isinstance(cell, list) or not all(_is_int(i) for i in cell):
                     raise DocumentError(
                         f"{where}.choice[{key!r}] cells must be lists of history indices")
                 for i in cell:
@@ -350,7 +355,7 @@ _JUST_KEYS = {
 
 def _int_field(block: dict, key: str, where: str) -> int:
     value = _need(block, key, where)
-    if not isinstance(value, int):
+    if not _is_int(value):
         raise DocumentError(f"{where}.{key} must be an integer")
     return value
 
@@ -477,32 +482,13 @@ def countermodel_document(model: JstitModel, index: Index,
 # ---------------------------------------------------------------------------
 # AST display
 
+_AST_TYPES = get_args(Formula) + get_args(Polynomial)
+
+
 def ast_dump(x: Union[Formula, Polynomial]) -> str:
     """Compact constructor tree, e.g. Not(And(PropVar(p), PropVar(q)))."""
-    if isinstance(x, PropVar):
-        return f"PropVar({x.name})"
-    if isinstance(x, And):
-        return f"And({ast_dump(x.left)}, {ast_dump(x.right)})"
-    if isinstance(x, Not):
-        return f"Not({ast_dump(x.arg)})"
-    if isinstance(x, Cstit):
-        return f"Cstit({x.agent}, {ast_dump(x.arg)})"
-    if isinstance(x, Box):
-        return f"Box({ast_dump(x.arg)})"
-    if isinstance(x, Proves):
-        return f"Proves({ast_dump(x.poly)}, {ast_dump(x.arg)})"
-    if isinstance(x, Knows):
-        return f"Knows({ast_dump(x.arg)})"
-    if isinstance(x, Announced):
-        return f"Announced({ast_dump(x.poly)})"
-    if isinstance(x, ProofVar):
-        return f"ProofVar({x.name})"
-    if isinstance(x, ProofConst):
-        return f"ProofConst({x.name})"
-    if isinstance(x, Sum):
-        return f"Sum({ast_dump(x.left)}, {ast_dump(x.right)})"
-    if isinstance(x, App):
-        return f"App({ast_dump(x.left)}, {ast_dump(x.right)})"
-    if isinstance(x, Check):
-        return f"Check({ast_dump(x.arg)})"
-    raise TypeError(f"not a formula or polynomial: {x!r}")
+    if not isinstance(x, _AST_TYPES):
+        raise TypeError(f"not a formula or polynomial: {x!r}")
+    args = (ast_dump(v) if isinstance(v, _AST_TYPES) else str(v)
+            for v in (getattr(x, f.name) for f in fields(x)))
+    return f"{type(x).__name__}({', '.join(args)})"

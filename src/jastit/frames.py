@@ -126,9 +126,6 @@ class TemporalFrame:
     def minimal_moments(self) -> tuple[str, ...]:
         return tuple(m for m in self.moments if not self._strict_preds(m))
 
-    def maximal_moments(self) -> tuple[str, ...]:
-        return tuple(m for m in self.moments if not any(self.lt(m, b) for b in self.moments))
-
     # -- histories
 
     @property
@@ -291,9 +288,6 @@ class JstitFrame(StitFrame):
         self.r = prep(r, self.leq)
         self.re = prep(re, self.r)
         self._theta_cache: dict[str, tuple[frozenset[str], ...]] = {}
-
-    def stit_reduct(self) -> StitFrame:
-        return StitFrame(self.moments, self.leq, self.agents, self.choice, self.dense)
 
     def _key(self) -> tuple:
         return super()._key() + (self.r, self.re)

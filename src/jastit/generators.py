@@ -1,21 +1,25 @@
-"""Seeded random structure generators shared by the test modules.
+"""Seeded random structure generators for the tests and the scripts.
 
 Frames come out of parent-vector trees, so the ordering is always a genuine
 tree of moments.  Models are grown so that the whiteboard constraints hold
 by construction where we can arrange it cheaply, and are filtered through
 the validator where we cannot; callers always get back something the
 validator accepts with no violations.
+
+No other package module imports this one, so importing ``jastit`` does not
+pay for it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
-from jastit.diagnostics import violations
-from jastit.frames import JstitFrame, StitFrame, TemporalFrame
-from jastit.models import EVERYTHING, JstitModel, Universe, validate_model
-from jastit.syntax import (
+from .diagnostics import violations
+from .frames import JstitFrame, StitFrame, TemporalFrame
+from .models import EVERYTHING, JstitModel, Universe, validate_model
+from .syntax import (
     And,
     Announced,
     Box,
@@ -31,7 +35,19 @@ from jastit.syntax import (
     App,
     Check,
     Sum,
+    dia,
+    disj,
+    implies,
 )
+
+
+def all_trees(n: int) -> Iterator[list[Optional[int]]]:
+    """Every parent vector on n nodes, in lexicographic order."""
+    if n == 1:
+        yield [None]
+        return
+    for tail in itertools.product(*(range(i) for i in range(1, n))):
+        yield [None, *tail]
 
 
 def random_parent_vector(rng: random.Random, n: int) -> list[Optional[int]]:
@@ -226,3 +242,65 @@ def random_polynomial(rng: random.Random, depth: int = 3) -> Polynomial:
     if kind == 1:
         return App(random_polynomial(rng, depth - 1), random_polynomial(rng, depth - 1))
     return Check(random_polynomial(rng, depth - 1))
+
+
+def scheme_instance(rng: random.Random, scheme: str, agents: int,
+                    fill: Callable[[random.Random, int], Formula],
+                    poly: Callable[[random.Random], Polynomial]) -> Formula:
+    """A random instance of axiom group ``scheme`` (A0..A9); ``fill`` draws
+    the substituted formulas and ``poly`` the substituted polynomials."""
+    a, b = fill(rng, agents), fill(rng, agents)
+    s, t = poly(rng), poly(rng)
+    j = rng.randrange(agents)
+    if scheme == "A0":
+        return rng.choice((
+            implies(a, a),
+            implies(a, implies(b, a)),
+            implies(implies(implies(a, b), a), a),
+            implies(And(a, b), a),
+            implies(a, disj(a, b)),
+            implies(Not(Not(a)), a),
+            implies(implies(a, b), implies(Not(b), Not(a))),
+            disj(a, Not(a)),
+        ))
+    if scheme == "A1":
+        wrap = (lambda g: Box(g)) if rng.random() < 0.5 \
+            else (lambda g: Cstit(j, g))
+        k = rng.randrange(3)
+        if k == 0:
+            return implies(wrap(implies(a, b)), implies(wrap(a), wrap(b)))
+        if k == 1:
+            return implies(wrap(a), a)
+        poss = Not(wrap(Not(a)))
+        return implies(poss, wrap(poss))
+    if scheme == "A2":
+        return implies(Box(a), Cstit(j, a))
+    if scheme == "A3":
+        n = 1 if agents < 2 else rng.randint(1, 2)
+        who = rng.sample(range(agents), n)
+        stits = [Cstit(jj, fill(rng, agents)) for jj in who]
+        if n == 1:
+            return implies(dia(stits[0]), dia(stits[0]))
+        return implies(And(dia(stits[0]), dia(stits[1])),
+                       dia(And(stits[0], stits[1])))
+    if scheme == "A4":
+        return implies(Proves(s, implies(a, b)),
+                       implies(Proves(t, a), Proves(App(s, t), b)))
+    if scheme == "A5":
+        return implies(Proves(t, a),
+                       And(Proves(Check(t), Proves(t, a)), Knows(a)))
+    if scheme == "A6":
+        return implies(disj(Proves(s, a), Proves(t, a)),
+                       Proves(Sum(s, t), a))
+    if scheme == "A7":
+        k = rng.randrange(3)
+        if k == 0:
+            return implies(Knows(implies(a, b)),
+                           implies(Knows(a), Knows(b)))
+        if k == 1:
+            return implies(Knows(a), a)
+        return implies(Knows(a), Knows(Knows(a)))
+    if scheme == "A8":
+        return implies(Knows(a), Box(Knows(Box(a))))
+    assert scheme == "A9"
+    return implies(Box(Announced(t)), Knows(Box(Announced(t))))

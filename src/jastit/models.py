@@ -11,6 +11,7 @@ instead of staying silent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -352,7 +353,9 @@ def validate_model(model: JstitModel, cs: Optional[ConstantSpecification] = None
     # a smaller default leaves composites genuinely unchecked.
     skipped: set[str] = set()
     up = _sorted_polys(uni.polynomials)
-    uf = _sorted_formulas(uni.formulas)
+    # only closure checks on explicit composite evidence read the formulas,
+    # and rendering them all for the sort is the costly part of a call
+    uf = functools.cache(lambda: _sorted_formulas(uni.formulas))
     if model.evidence_default is not EVERYTHING:
         for s, t in itertools.product(up, up):
             for comp in (App(s, t), Sum(s, t)):
@@ -367,17 +370,17 @@ def validate_model(model: JstitModel, cs: Optional[ConstantSpecification] = None
             comp = App(s, t)
             if comp in uni.polynomials and model.evidence_at(m, comp) is not EVERYTHING:
                 es, et, ec = model.evidence_at(m, s), model.evidence_at(m, t), model.evidence_at(m, comp)
-                for b in uf:
+                for b in uf():
                     if b in ec:
                         continue
-                    if any(implies(a, b) in es and a in et for a in uf):
+                    if any(implies(a, b) in es and a in et for a in uf()):
                         bad("evidence-closure-app",
                             f"{render(b)} derivable at {m} but missing from evidence for {render_polynomial(comp)}",
                             (m, render_polynomial(comp), render(b)))
             comp = Sum(s, t)
             if comp in uni.polynomials and model.evidence_at(m, comp) is not EVERYTHING:
                 ec = model.evidence_at(m, comp)
-                for a in uf:
+                for a in uf():
                     if (a in model.evidence_at(m, s) or a in model.evidence_at(m, t)) and a not in ec:
                         bad("evidence-closure-sum",
                             f"{render(a)} in a summand's evidence at {m} but not in evidence for {render_polynomial(comp)}",
@@ -386,7 +389,7 @@ def validate_model(model: JstitModel, cs: Optional[ConstantSpecification] = None
             comp = Check(t)
             if comp in uni.polynomials and model.evidence_at(m, comp) is not EVERYTHING:
                 ec = model.evidence_at(m, comp)
-                for a in uf:
+                for a in uf():
                     if a in model.evidence_at(m, t) and Proves(t, a) not in ec:
                         bad("evidence-closure-check",
                             f"{render_polynomial(t)} : {render(a)} missing from evidence for {render_polynomial(comp)} at {m}",

@@ -170,7 +170,6 @@ class Announced:
 
 Formula = Union[PropVar, And, Not, Cstit, Box, Proves, Knows, Announced]
 
-_FORMULA_TYPES = (PropVar, And, Not, Cstit, Box, Proves, Knows, Announced)
 _POLY_TYPES = (ProofVar, ProofConst, Sum, App, Check)
 
 

@@ -10,13 +10,15 @@ budgeted to finish well under a minute.
 import itertools
 import random
 
-from generators import (
+from jastit.generators import (
+    all_trees,
     mixsucc_witness_frame,
     random_formula,
     random_jstit_frame,
     random_model,
     random_polynomial,
     random_preorder_extension,
+    scheme_instance,
     tree_data,
 )
 from oracles import (
@@ -27,7 +29,9 @@ from oracles import (
     rd_conclusions,
     rd_premises,
 )
-from jastit.calculus import Axiom, Proof, RD, match_axiom, match_rd, verify_proof
+from jastit.calculus import (
+    Axiom, Proof, RD, SCHEME_IDS, match_axiom, match_rd, verify_proof,
+)
 from jastit.countermodels import (
     MixsuccWitness,
     RegWitness,
@@ -47,9 +51,7 @@ from jastit.models import (
 )
 from jastit.semantics import Index, satisfies, valid_in_model
 from jastit.syntax import (
-    And,
     Announced,
-    App,
     Box,
     Check,
     Cstit,
@@ -60,7 +62,6 @@ from jastit.syntax import (
     Proves,
     Sum,
     dia,
-    disj,
     iff,
     implies,
     parse_formula,
@@ -128,76 +129,19 @@ def test_criterion_1_falsification_replays():
 # criterion 2: every axiom scheme is valid on validated models over regular
 # frames
 
-SCHEMES = ("A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9")
-
-
-def _filler(rng: random.Random, agents: int):
+def _fill(rng: random.Random, agents: int):
     return random_formula(rng, rng.randint(0, 2), ("p", "q"), agents)
 
 
-def _scheme_instance(rng: random.Random, scheme: str, agents: int):
-    a, b = _filler(rng, agents), _filler(rng, agents)
-    s, t = random_polynomial(rng, 1), random_polynomial(rng, 1)
-    j = rng.randrange(agents)
-    if scheme == "A0":
-        return rng.choice((
-            implies(a, a),
-            implies(a, implies(b, a)),
-            implies(implies(implies(a, b), a), a),
-            implies(And(a, b), a),
-            implies(a, disj(a, b)),
-            implies(Not(Not(a)), a),
-            implies(implies(a, b), implies(Not(b), Not(a))),
-            disj(a, Not(a)),
-        ))
-    if scheme == "A1":
-        wrap = (lambda g: Box(g)) if rng.random() < 0.5 \
-            else (lambda g: Cstit(j, g))
-        k = rng.randrange(3)
-        if k == 0:
-            return implies(wrap(implies(a, b)), implies(wrap(a), wrap(b)))
-        if k == 1:
-            return implies(wrap(a), a)
-        poss = Not(wrap(Not(a)))
-        return implies(poss, wrap(poss))
-    if scheme == "A2":
-        return implies(Box(a), Cstit(j, a))
-    if scheme == "A3":
-        n = 1 if agents < 2 else rng.randint(1, 2)
-        who = rng.sample(range(agents), n)
-        stits = [Cstit(jj, _filler(rng, agents)) for jj in who]
-        if n == 1:
-            return implies(dia(stits[0]), dia(stits[0]))
-        return implies(And(dia(stits[0]), dia(stits[1])),
-                       dia(And(stits[0], stits[1])))
-    if scheme == "A4":
-        return implies(Proves(s, implies(a, b)),
-                       implies(Proves(t, a), Proves(App(s, t), b)))
-    if scheme == "A5":
-        return implies(Proves(t, a),
-                       And(Proves(Check(t), Proves(t, a)), Knows(a)))
-    if scheme == "A6":
-        return implies(disj(Proves(s, a), Proves(t, a)),
-                       Proves(Sum(s, t), a))
-    if scheme == "A7":
-        k = rng.randrange(3)
-        if k == 0:
-            return implies(Knows(implies(a, b)),
-                           implies(Knows(a), Knows(b)))
-        if k == 1:
-            return implies(Knows(a), a)
-        return implies(Knows(a), Knows(Knows(a)))
-    if scheme == "A8":
-        return implies(Knows(a), Box(Knows(Box(a))))
-    assert scheme == "A9"
-    return implies(Box(Announced(t)), Knows(Box(Announced(t))))
+def _poly(rng: random.Random):
+    return random_polynomial(rng, 1)
 
 
 def test_criterion_2_soundness_sweep():
     rng = random.Random(211)
     cs = ConstantSpecification.from_entries(
         [(("c",), implies(PropVar("p"), PropVar("p")))])
-    counts = {sch: 0 for sch in SCHEMES}
+    counts = {sch: 0 for sch in SCHEME_IDS}
     models = 0
     failures = []
     while models < 200:
@@ -209,8 +153,8 @@ def test_criterion_2_soundness_sweep():
         assert violations(validate_model(model, cs)) == []
         models += 1
 
-        instances = {sch: _scheme_instance(rng, sch, frame.agents)
-                     for sch in SCHEMES}
+        instances = {sch: scheme_instance(rng, sch, frame.agents, _fill, _poly)
+                     for sch in SCHEME_IDS}
         assert all(match_axiom(f) is not None for f in instances.values())
         wide = _widen(model, instances.values())
         for sch, inst in instances.items():
@@ -243,14 +187,6 @@ def test_criterion_3_target_derivation():
 # ---------------------------------------------------------------------------
 # criterion 4: support-set members always have a strict predecessor
 
-def _all_trees(n: int):
-    if n == 1:
-        yield [None]
-        return
-    for tail in itertools.product(*(range(i) for i in range(1, n))):
-        yield [None, *tail]
-
-
 def _tree_frame(parents, dense, agents: int = 1) -> JstitFrame:
     names = [f"m{i}" for i in range(len(parents))]
     covers = [(names[p], names[i])
@@ -261,7 +197,7 @@ def _tree_frame(parents, dense, agents: int = 1) -> JstitFrame:
 def test_criterion_4_theta_members_have_strict_predecessors():
     corpus = []
     for n in range(1, 5):
-        for parents in _all_trees(n):
+        for parents in all_trees(n):
             names = [f"m{i}" for i in range(n)]
             covers = [(names[p], names[i])
                       for i, p in enumerate(parents) if p is not None]
@@ -317,7 +253,7 @@ def test_criterion_5_extensions_of_mixsucc_frames_are_regular():
 
 def _exhaustive_frames():
     for n in range(1, 6):
-        for parents in _all_trees(n):
+        for parents in all_trees(n):
             names = [f"m{i}" for i in range(n)]
             covers = [(names[p], names[i])
                       for i, p in enumerate(parents) if p is not None]

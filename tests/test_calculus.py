@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from generators import random_formula
+from jastit.generators import random_formula
 from oracles import rd_conclusions, rd_premises, truth_table_tautology
 from jastit.calculus import (
     SCHEME_IDS,

@@ -89,6 +89,14 @@ def test_check_frame_unknown_key(tmp_path):
     assert main(["check-frame", path]) == 2
 
 
+def test_check_frame_boolean_agents(tmp_path, capsys):
+    doc = dump_frame(golden_frame())
+    doc["agents"] = True
+    path = write(tmp_path, "f.json", doc)
+    assert main(["check-frame", path]) == 2
+    assert "agents must be an integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # classify
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from generators import mixsucc_witness_frame, random_jstit_frame
+from jastit.generators import mixsucc_witness_frame, random_jstit_frame
 from jastit.countermodels import (
     MixsuccWitness,
     POLY_X,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from generators import random_jstit_frame, random_model
+from jastit.generators import random_jstit_frame, random_model
 from jastit.calculus import Axiom, KNec, MP, Proof, RCS, RD, verify_proof
 from jastit.countermodels import (
     MixsuccWitness,
@@ -111,6 +111,23 @@ def test_frame_malformed_fields():
     with pytest.raises(DocumentError):
         load_frame({"moments": ["a", "b"], "order": [["a", "b"]],
                     "choice": {"a,0": [[7]]}})
+
+
+def test_json_booleans_are_not_integers():
+    doc = dump_frame(golden_frame())
+    doc["agents"] = True
+    with pytest.raises(DocumentError, match="agents"):
+        load_frame(doc)
+    with pytest.raises(DocumentError, match="history indices"):
+        load_frame({"moments": ["a", "b"], "order": [["a", "b"]],
+                    "choice": {"a,0": [[False]]}})
+    for just in ({"kind": "mp", "i": True, "j": 1},
+                 {"kind": "mp", "i": 1, "j": True},
+                 {"kind": "cstitnec", "i": 1, "agent": False}):
+        doc = {"lines": [{"formula": "p -> p", "just": {"kind": "axiom"}},
+                         {"formula": "[0] (p -> p)", "just": just}]}
+        with pytest.raises(DocumentError, match="must be an integer"):
+            load_proof(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +311,6 @@ def test_ast_dump():
     assert ast_dump(pf("[1] p")) == "Cstit(1, PropVar(p))"
     assert ast_dump(pf("x : p")) == "Proves(ProofVar(x), PropVar(p))"
     assert ast_dump(pf("E !x")) == "Announced(Check(ProofVar(x)))"
+    assert ast_dump(pf("[1] (Box ~p & K (c + x) : E !(y * x))")) == (
+        "Cstit(1, And(Box(Not(PropVar(p))), Knows(Proves(Sum(ProofConst(c), "
+        "ProofVar(x)), Announced(Check(App(ProofVar(y), ProofVar(x))))))))")

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from generators import (
+from jastit.generators import (
+    all_trees,
     mixsucc_witness_frame,
     random_jstit_frame,
     random_parent_vector,
@@ -223,15 +224,6 @@ def test_every_theta_member_has_a_predecessor():
 # ---------------------------------------------------------------------------
 # classifier agreement with the quantifier-sweep oracles
 
-def _all_trees(n: int):
-    """Every parent vector on n nodes."""
-    if n == 1:
-        yield [None]
-        return
-    for tail in itertools.product(*(range(i) for i in range(1, n))):
-        yield [None, *tail]
-
-
 def _frames_from(parents, dense_choices, rng):
     names = [f"m{i}" for i in range(len(parents))]
     covers = [(names[p], names[i]) for i, p in enumerate(parents) if p is not None]
@@ -247,12 +239,12 @@ def _frames_from(parents, dense_choices, rng):
 def _exhaustive_corpus():
     rng = random.Random(17)
     for n in range(1, 5):
-        for parents in _all_trees(n):
+        for parents in all_trees(n):
             def all_subsets(covers):
                 for k in range(len(covers) + 1):
                     yield from itertools.combinations(covers, k)
             yield from _frames_from(parents, all_subsets, rng)
-    for parents in _all_trees(5):
+    for parents in all_trees(5):
         def sampled(covers):
             yield ()
             yield tuple(covers)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from generators import random_jstit_frame, random_model
+from jastit.generators import random_jstit_frame, random_model
 from jastit.diagnostics import violations, warnings
 from jastit.frames import JstitFrame
 from jastit.models import (

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from generators import random_formula, random_jstit_frame, random_model
+from jastit.generators import random_formula, random_jstit_frame, random_model
 from oracles import naive_satisfies
 from jastit.diagnostics import ResourceBoundExceeded, violations
 from jastit.frames import JstitFrame, is_regular

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import random_formula, random_polynomial
+from jastit.generators import random_formula, random_polynomial
 from jastit.syntax import (
     And,
     Announced,
