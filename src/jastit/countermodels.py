@@ -15,7 +15,7 @@ for the frame classes involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .frames import (
     History, JstitFrame, StitFrame, TemporalFrame, theta,

@@ -20,7 +20,7 @@ the annotated frame as if the stretch were present.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .diagnostics import Diagnostic, ResourceBoundExceeded, VIOLATION

@@ -19,9 +19,8 @@ from typing import Iterable, Mapping, Optional, Union
 from .diagnostics import Diagnostic, VIOLATION, WARNING
 from .frames import History, JstitFrame
 from .syntax import (
-    And, Announced, App, Box, Check, Cstit, Formula, Knows, Not, Polynomial,
-    ProofConst, ProofVar, Proves, PropVar, Sum, implies, render,
-    render_polynomial, subformulas, subpolynomials,
+    App, Check, Formula, Polynomial, ProofConst, ProofVar, Proves, PropVar,
+    Sum, implies, render, render_polynomial, subformulas, subpolynomials,
 )
 
 __all__ = [

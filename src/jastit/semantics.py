@@ -13,7 +13,7 @@ from .models import (
 )
 from .syntax import (
     And, Announced, Box, Cstit, Formula, Knows, Not, Proves, PropVar,
-    check_agents, prop_vars, render, render_polynomial,
+    check_agents, prop_vars, render_polynomial,
 )
 
 __all__ = [
@@ -128,6 +128,11 @@ class SearchBounds:
     ((2^|polynomials|) per moment-class slot, monotone along the order) and
     valuations (2^(|vars| * |MH|)); enumeration stops with a resource error
     once budget candidates have been inspected without an answer.
+
+    A candidate is one (frame, act, valuation) triple, counted in enumeration
+    order. Model validity does not depend on the valuation, so each whiteboard
+    assignment is validated once; when it is rejected, all of its valuations
+    are counted as inspected without being built.
     """
 
     max_moments: int = 3
@@ -206,6 +211,13 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     default = EVERYTHING if bounds.evidence_mode == "everything" else frozenset()
     inspected = 0
 
+    def spend(k: int) -> None:
+        nonlocal inspected
+        inspected += k
+        if inspected > bounds.budget:
+            raise ResourceBoundExceeded(
+                f"counter-model search exceeded budget of {bounds.budget} candidates")
+
     for n in range(1, bounds.max_moments + 1):
         for parents in _parent_vectors(n):
             moments = [f"m{i}" for i in range(n)]
@@ -235,6 +247,7 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
             class_key = {
                 (m, hname): (m, _class_of(base, m, hname)) for m, hname in mh
             }
+            valuation_count = 1 << (len(pvars) * len(mh))
 
             for choice in joint_choices:
                 for r, re in rel_pairs:
@@ -242,15 +255,16 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
                                        choice=choice, r=r, re=re)
                     for act in _act_assignments(slots, parent_slot, polys):
                         act_map = {pair: act[class_key[pair]] for pair in mh}
+                        # validation never reads the valuation, so one check
+                        # per act settles all of its valuations at once
+                        if violations(validate_model(JstitModel(
+                                frame, universe, act_map, evidence_default=default))):
+                            spend(valuation_count)
+                            continue
                         for val in _valuations(pvars, mh):
-                            inspected += 1
-                            if inspected > bounds.budget:
-                                raise ResourceBoundExceeded(
-                                    f"counter-model search exceeded budget of {bounds.budget} candidates")
+                            spend(1)
                             model = JstitModel(frame, universe, act_map, {}, val,
                                                evidence_default=default)
-                            if violations(validate_model(model)):
-                                continue
                             bad = _first_falsifying(model, f)
                             if bad is not None:
                                 return model, bad

@@ -19,7 +19,9 @@ Concrete syntax notes:
 * for polynomials ``!`` binds tighter than ``*`` than ``+``;
 * the right-hand side of ``:`` is parsed at prefix level: ``x : ~p & q``
   reads as ``(x : ~p) & q``;
-* ``E`` takes a whole polynomial: ``E s + t`` reads as ``E (s + t)``.
+* ``E`` takes a whole polynomial: ``E s + t`` reads as ``E (s + t)``;
+* a term nested more than ``MAX_DEPTH`` constructors deep, sugar expanded,
+  is a ``ParseError``.
 
 Unicode aliases are accepted on input (``∧ ∨ ¬ → ↔ □ ◇ × ⊤ ⊥``); ASCII is
 always sufficient and is what the renderer emits.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 __all__ = [
     "Agent",
@@ -39,11 +41,12 @@ __all__ = [
     "implies", "disj", "iff", "dia", "top", "bot",
     "as_implies", "as_or", "as_dia", "flatten_or", "flatten_and",
     "subformulas", "subpolynomials", "prop_vars", "agents_in", "check_agents",
-    "parse_formula", "parse_polynomial", "ParseError",
+    "parse_formula", "parse_polynomial", "ParseError", "MAX_DEPTH",
     "render", "render_polynomial",
 ]
 
 Agent = int
+_T = TypeVar("_T")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 _KEYWORDS = frozenset({"Box", "Dia", "K", "E", "top", "bot"})
@@ -542,20 +545,45 @@ class _Parser:
         raise self.fail(("polynomial",))
 
 
-def parse_formula(text: str) -> Formula:
+# Deepest term the parsers accept. Every walk over terms downstream (render,
+# hashing, evaluation, the JSON dumps) recurses once or twice per level, so a
+# cap well below the interpreter's recursion limit keeps them all in range.
+MAX_DEPTH = 200
+
+
+def _too_deep(x: Union[Formula, Polynomial]) -> bool:
+    # one level at a time, each shared node once per level: sugar such as
+    # <-> shares subterms, so the unfolded tree can be exponentially larger
+    level = {id(x): x}
+    for _ in range(MAX_DEPTH):
+        level = {id(c): c for node in level.values() for c in vars(node).values()
+                 if not isinstance(c, (str, int))}
+        if not level:
+            return False
+    return True
+
+
+def _parse(text: str, rule: Callable[[_Parser], _T]) -> _T:
     p = _Parser(text)
-    f = p.formula()
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise ParseError("nesting too deep", p.peek().pos, text) from None
     if not p.at("EOF"):
         raise p.fail(("end of input",))
-    return f
+    # no token adds more than four levels (<-> and top expand the most),
+    # so only inputs of more than MAX_DEPTH / 4 tokens need the walk
+    if 4 * (len(p.tokens) - 1) > MAX_DEPTH and _too_deep(out):
+        raise ParseError(f"nesting too deep (more than {MAX_DEPTH} levels)", 0, text)
+    return out
+
+
+def parse_formula(text: str) -> Formula:
+    return _parse(text, _Parser.formula)
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    p = _Parser(text)
-    t = p.polynomial()
-    if not p.at("EOF"):
-        raise p.fail(("end of input",))
-    return t
+    return _parse(text, _Parser.polynomial)
 
 
 # ---------------------------------------------------------------------------

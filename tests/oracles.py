@@ -4,8 +4,9 @@ Every function here restates a defining condition as a direct quantifier
 sweep over a finite structure.  Nothing is shared with the package
 implementations beyond raw input data (moment sets, the ordering relation,
 the choice partition, act/evidence/valuation tables), so agreement between
-the two is meaningful evidence rather than a tautology.  These are slow on
-purpose; keep the structures they are fed small.
+the two is meaningful evidence rather than a tautology; the one exception is
+naive_find_countermodel, which shares the search's enumerators on purpose.
+These are slow on purpose; keep the structures they are fed small.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from jastit.syntax import (
     And,
     Announced,
     Box,
-    Check,
     Cstit,
     Formula,
     Knows,
@@ -26,9 +26,14 @@ from jastit.syntax import (
     Proves,
     disj,
     implies,
+    prop_vars,
     render,
+    render_polynomial,
 )
-from jastit.models import EVERYTHING
+from jastit.diagnostics import ResourceBoundExceeded, violations
+from jastit.frames import JstitFrame
+from jastit.models import EVERYTHING, JstitModel, Universe, validate_model
+from jastit import semantics
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +297,59 @@ def rd_premises(antecedent: Formula,
         for body in _disjunction_shapes(literals):
             out.add(implies(Knows(antecedent), body))
     return out
+
+
+# ---------------------------------------------------------------------------
+# counter-model search
+# ---------------------------------------------------------------------------
+
+def naive_find_countermodel(f: Formula, bounds):
+    """find_countermodel with every candidate built and validated in turn.
+
+    Unlike the other oracles this one reuses the package's enumerators: it
+    referees the bookkeeping of the search (which candidates are skipped and
+    how the budget counts them), not the enumeration order. Returns the
+    outcome, a (model, index) pair, None, or the ResourceBoundExceeded the
+    search raises, together with the number of candidates inspected.
+    """
+    universe = Universe.close(formulas=[f])
+    polys = sorted(universe.polynomials, key=render_polynomial)
+    pvars = sorted(prop_vars(f))
+    default = EVERYTHING if bounds.evidence_mode == "everything" else frozenset()
+    inspected = 0
+    for n in range(1, bounds.max_moments + 1):
+        for parents in semantics._parent_vectors(n):
+            moments = [f"m{i}" for i in range(n)]
+            edges = [(moments[p], moments[i + 1]) for i, p in enumerate(parents)]
+            base = JstitFrame(moments, edges, agents=bounds.agents)
+            if len(base.histories) > bounds.max_histories:
+                continue
+            slots = [(m, cls) for m in moments for cls in base.undivided_classes(m)]
+            parent_of = {moments[i + 1]: moments[p] for i, p in enumerate(parents)}
+            parent_slot = {}
+            for m, cls in slots:
+                up = parent_of.get(m)
+                parent_slot[(m, cls)] = None if up is None else next(
+                    (up, c) for c in base.undivided_classes(up) if min(cls) in c)
+            mh = [(m, h.name) for m in base.moments for h in base.histories_through(m)]
+            for choice in semantics._joint_choice_options(base):
+                for r, re in semantics._relation_pairs(base):
+                    frame = JstitFrame(moments, edges, agents=bounds.agents,
+                                       choice=choice, r=r, re=re)
+                    for act in semantics._act_assignments(slots, parent_slot, polys):
+                        act_map = {(m, h): act[(m, semantics._class_of(base, m, h))]
+                                   for m, h in mh}
+                        for val in semantics._valuations(pvars, mh):
+                            inspected += 1
+                            if inspected > bounds.budget:
+                                return ResourceBoundExceeded(
+                                    f"counter-model search exceeded budget of "
+                                    f"{bounds.budget} candidates"), bounds.budget
+                            model = JstitModel(frame, universe, act_map, {}, val,
+                                               evidence_default=default)
+                            if violations(validate_model(model)):
+                                continue
+                            bad = semantics._first_falsifying(model, f)
+                            if bad is not None:
+                                return (model, bad), inspected
+    return None, inspected

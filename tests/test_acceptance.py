@@ -33,7 +33,6 @@ from jastit.calculus import (
     Axiom, Proof, RD, SCHEME_IDS, match_axiom, match_rd, verify_proof,
 )
 from jastit.countermodels import (
-    MixsuccWitness,
     RegWitness,
     TARGET_FORMULA,
     build_jstit_countermodel,

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from jastit.calculus import Axiom, BoxNec, Proof, RD
 from jastit.cli import main
 from jastit.countermodels import RegWitness, build_jstit_countermodel
@@ -46,6 +44,13 @@ def test_parse_error_shows_caret(capsys):
     err = capsys.readouterr().err
     assert "expected one of: formula" in err
     assert "^" in err
+
+
+def test_parse_too_deep_is_bad_input(capsys):
+    assert main(["parse", "~" * 3000 + "p"]) == 2
+    err = capsys.readouterr().err
+    assert "nesting too deep" in err
+    assert "Traceback" not in err
 
 
 def test_parse_agent_check_only_when_requested(capsys):

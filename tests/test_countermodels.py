@@ -19,7 +19,7 @@ from jastit.countermodels import (
     dense_pairs_supporting,
 )
 from jastit.diagnostics import violations, warnings
-from jastit.frames import JstitFrame, StitFrame, TemporalFrame, is_mixsucc, is_regular
+from jastit.frames import JstitFrame, StitFrame, TemporalFrame, is_regular
 from jastit.models import validate_model
 from jastit.semantics import Index, satisfies
 from jastit.syntax import parse_formula, render

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from jastit.generators import random_jstit_frame, random_model
 from jastit.calculus import Axiom, KNec, MP, Proof, RCS, RD, verify_proof
 from jastit.countermodels import (
-    MixsuccWitness,
     RegWitness,
     build_jstit_countermodel,
     complete_mixsucc_witness,
@@ -28,7 +26,7 @@ from jastit.documents import (
     load_witness,
 )
 from jastit.frames import JstitFrame, is_regular
-from jastit.models import EVERYTHING, ConstantSpecification
+from jastit.models import ConstantSpecification
 from jastit.syntax import parse_formula as pf
 
 

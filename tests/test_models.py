@@ -21,7 +21,6 @@ from jastit.syntax import (
     And,
     App,
     Announced,
-    Not,
     ProofConst,
     ProofVar,
     PropVar,

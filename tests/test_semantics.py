@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from jastit.generators import random_formula, random_jstit_frame, random_model
-from oracles import naive_satisfies
+from jastit.calculus import SCHEME_IDS
+from jastit.documents import canonical_json, dump_model
+from jastit.generators import random_formula, random_jstit_frame, random_model, scheme_instance
+from oracles import naive_find_countermodel, naive_satisfies
 from jastit.diagnostics import ResourceBoundExceeded, violations
 from jastit.frames import JstitFrame, is_regular
-from jastit.models import EVERYTHING, JstitModel, OutOfUniverseError, Universe, validate_model
+from jastit.models import JstitModel, OutOfUniverseError, validate_model
 from jastit.semantics import Index, SearchBounds, find_countermodel, satisfies, valid_in_model
 from jastit.countermodels import RegWitness, TARGET_FORMULA, build_jstit_countermodel
-from jastit.syntax import parse_formula, render
+from jastit.syntax import (
+    Announced, Box, Knows, Not, ProofVar, PropVar, parse_formula, render,
+)
 
 
 def golden_frame() -> JstitFrame:
@@ -184,6 +188,58 @@ def test_search_empty_evidence_mode():
 def test_search_budget_exhaustion():
     with pytest.raises(ResourceBoundExceeded):
         find_countermodel(parse_formula("x : p -> p"), SearchBounds(budget=50))
+
+
+def test_search_budget_is_exact():
+    # x : p -> p holds; at two moments settling it takes exactly 40 candidates
+    f = parse_formula("x : p -> p")
+    assert find_countermodel(f, SearchBounds(max_moments=2, budget=40)) is None
+    with pytest.raises(ResourceBoundExceeded, match="budget of 39 candidates"):
+        find_countermodel(f, SearchBounds(max_moments=2, budget=39))
+    assert naive_find_countermodel(f, SearchBounds(max_moments=2)) == (None, 40)
+
+
+def _describe(outcome) -> tuple:
+    if outcome is None:
+        return ("none",)
+    if isinstance(outcome, ResourceBoundExceeded):
+        return ("bound", str(outcome))
+    model, idx = outcome
+    return ("model", canonical_json(dump_model(model)), idx)
+
+
+def _search(f, bounds):
+    try:
+        return find_countermodel(f, bounds)
+    except ResourceBoundExceeded as e:
+        return e
+
+
+def test_search_agrees_with_per_candidate_oracle():
+    # validating once per act and skipping the valuations of a rejected act
+    # must keep every verdict, first counter-model and bound hit
+    polys = (ProofVar("x"), ProofVar("y"))
+
+    def filler(rng, agents):
+        a = PropVar(rng.choice("pq"))
+        return rng.choice((a, a, Not(a), Box(a), Knows(a), Announced(rng.choice(polys))))
+
+    rng = random.Random(11)
+    corpus = [parse_formula(t) for t in
+              ("E x -> Box E x", "E x -> E y", "x : p -> E x", "K E x -> E x & E y")]
+    for scheme in SCHEME_IDS:
+        f = scheme_instance(rng, scheme, 1, filler, lambda r: r.choice(polys))
+        corpus += [f, Not(f)]
+    kinds = set()
+    for f in corpus:
+        for mode in ("everything", "empty"):
+            for moments in (2, 3):
+                bounds = SearchBounds(max_moments=moments, evidence_mode=mode, agents=1,
+                                      budget=rng.randrange(20, 250))
+                got = _describe(_search(f, bounds))
+                assert got == _describe(naive_find_countermodel(f, bounds)[0]), (render(f), bounds)
+                kinds.add(got[0])
+    assert kinds == {"model", "none", "bound"}
 
 
 def test_search_rejects_unknown_mode_and_agents():

@@ -18,6 +18,7 @@ from jastit.syntax import (
     ProofVar,
     PropVar,
     Proves,
+    MAX_DEPTH,
     Sum,
     agents_in,
     as_dia,
@@ -150,6 +151,21 @@ def test_trailing_garbage_rejected():
         parse_formula("p q")
     with pytest.raises(ParseError):
         parse_polynomial("x y")
+
+
+def test_nesting_too_deep_is_a_parse_error():
+    # deep prefix chains overflow the recursive parser; long left-nested
+    # chains parse in a loop but would overflow recursive walks downstream.
+    # <-> shares its operands: unfolded, this chain has about 2^60 nodes
+    for text in ("~" * 3000 + "p", "(" * 300 + "p" + ")" * 300,
+                 " & ".join(["p"] * (MAX_DEPTH + 1)), " <-> ".join(["p"] * 60)):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_formula(text)
+    for text in ("!" * 3000 + "x", " + ".join(["x"] * (MAX_DEPTH + 1))):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_polynomial(text)
+    deepest = parse_formula("~" * (MAX_DEPTH - 1) + "p")
+    assert parse_formula(render(deepest)) == deepest
 
 
 # ---------------------------------------------------------------------------
