@@ -87,7 +87,7 @@ def _cmd_check_frame(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     frame = load_frame(_read_json(args.file), default_agents=_agents_default(args))
     mix_ok, mix_wit = is_mixsucc(frame)
-    reg_ok, reg_wit = is_regular(frame, max_moments=args.theta_cap)
+    reg_ok, reg_wit = is_regular(frame)
     report = {
         "mixsucc": {
             "holds": mix_ok,
@@ -101,10 +101,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             },
         },
         "unirelational": is_unirelational(frame),
-        "theta_sizes": {
-            m: len(theta(frame, m, max_moments=args.theta_cap))
-            for m in frame.moments
-        },
+        "theta_sizes": {m: len(theta(frame, m)) for m in frame.moments},
     }
     print(canonical_json(report), end="")
     return EXIT_HOLDS
@@ -232,8 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="frame condition report")
     p.add_argument("file")
-    p.add_argument("--theta-cap", type=int, default=16, metavar="N",
-                   help="largest frame size for Theta family enumeration")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("check-model", help="model constraint diagnostics")

@@ -413,67 +413,75 @@ def is_mixsucc(frame: Frame) -> tuple[bool, Optional[tuple[str, str]]]:
     return True, None
 
 
-def _theta_members_have_preds(frame: TemporalFrame, s: frozenset[str]) -> bool:
+# the most members a theta family may have: all 2^15 subsets of the other
+# moments of a 16-moment frame
+_MAX_FAMILY = 1 << 15
+
+
+def _closed_sets(start: frozenset, items: Sequence, close, keep) -> set[frozenset]:
+    """Every set close(start | X), for X a subset of items, that keep accepts.
+    Pruning is sound when keep rejects every superset of a set it rejects."""
+    first = close(start)
+    if not keep(first):
+        return set()
+    seen, stack = {first}, [first]
+    while stack:
+        s = stack.pop()
+        for x in items:
+            if x in s:
+                continue
+            t = close(s | {x})
+            if t not in seen and keep(t):
+                if len(seen) == _MAX_FAMILY:
+                    raise ResourceBoundExceeded(f"set family exceeds {_MAX_FAMILY} members")
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def theta(frame: JstitFrame, m: str) -> tuple[frozenset[str], ...]:
+    """The family Theta_m of candidate support sets containing m.
+
+    S belongs iff: m in S; every member of S has a strict predecessor; S is
+    closed forward under re; and any moment all of whose histories hit a next
+    successor inside S is itself in S. The last two are Horn rules, so the
+    members are the closed sets above {m} that hold no minimal moment. At
+    most 2^15 members, all a 16-moment frame can have, are enumerated; a
+    larger family raises ResourceBoundExceeded.
+    """
+    if m not in frame.moments:
+        raise ValueError(f"unknown moment {m!r}")
+    cached = frame._theta_cache.get(m)
+    if cached is not None:
+        return cached
+    re_succ = {w: {b for a, b in frame.re if a == w} for w in frame.moments}
+    # m1 is pulled in once S holds the next successor of m1 on each history
+    # through it; a chain has at most one, and a history with none never fires
+    bodies = {m1: [[w for w in h.chain if frame.next(m1, w)]
+                   for h in frame.histories_through(m1)] for m1 in frame.moments}
+    rules = [(frozenset(w for (w,) in b), m1) for m1, b in bodies.items() if b and all(b)]
+
+    def close(s: frozenset[str]) -> frozenset[str]:
+        out, size = set(s), -1
+        while size != len(out):
+            size = len(out)
+            out.update(*[re_succ[a] for a in out])
+            out.update(m1 for body, m1 in rules if body <= out)
+        return frozenset(out)
+
     # executable finite form of the density/predecessor condition: a declared
     # dense stretch below an annotated member supplies the required earlier
     # members, and any unannotated finite moment has an immediate predecessor,
     # so the condition can only fail at order-minimal members
-    return all(frame._strict_preds(m1) for m1 in s)
-
-
-def _theta_re_closed(frame: JstitFrame, s: frozenset[str]) -> bool:
-    return all(b in s for a, b in frame.re if a in s)
-
-
-def _theta_next_closed(frame: JstitFrame, s: frozenset[str]) -> bool:
-    for m1 in frame.moments:
-        if m1 in s:
-            continue
-        hs = frame.histories_through(m1)
-        if hs and all(
-            any(frame.next(m1, m2) and m2 in s for m2 in h.chain) for h in hs
-        ):
-            return False
-    return True
-
-
-def theta(frame: JstitFrame, m: str, *, max_moments: int = 16) -> tuple[frozenset[str], ...]:
-    """The family Theta_m of candidate support sets containing m.
-
-    S belongs iff: m in S; every member of S has a strict predecessor (see
-    _theta_members_have_preds for why this is the finite executable form of
-    the density condition); S is closed forward under re; and any moment all
-    of whose histories hit a next successor inside S is itself in S.
-    Enumerates all subsets containing m, so |moments| is capped.
-    """
-    if m not in frame.moments:
-        raise ValueError(f"unknown moment {m!r}")
-    if len(frame.moments) > max_moments:
-        raise ResourceBoundExceeded(
-            f"theta enumeration needs 2^{len(frame.moments) - 1} subsets; "
-            f"cap is {max_moments} moments"
-        )
-    cached = frame._theta_cache.get(m)
-    if cached is not None:
-        return cached
-    others = [w for w in frame.moments if w != m]
-    found: list[frozenset[str]] = []
-    for mask in range(1 << len(others)):
-        s = frozenset([m] + [w for i, w in enumerate(others) if mask >> i & 1])
-        if not _theta_members_have_preds(frame, s):
-            continue
-        if not _theta_re_closed(frame, s):
-            continue
-        if not _theta_next_closed(frame, s):
-            continue
-        found.append(s)
+    minimal = frozenset(frame.minimal_moments())
+    found = _closed_sets(frozenset([m]), [w for w in frame.moments if w not in minimal],
+                         close, lambda s: not s & minimal)
     result = tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
     frame._theta_cache[m] = result
     return result
 
 
-def is_regular(frame: JstitFrame, *, max_moments: int = 16
-               ) -> tuple[bool, Optional[tuple[str, str, str, frozenset[str]]]]:
+def is_regular(frame: JstitFrame) -> tuple[bool, Optional[tuple[str, str, str, frozenset[str]]]]:
     """Regularity check; witness (m0, m1, h', S) instantiates the failure.
 
     A failure consists of m0 strictly below m1 with no next successor of m0
@@ -491,7 +499,7 @@ def is_regular(frame: JstitFrame, *, max_moments: int = 16
             interval = [w for w in frame.moments if frame.lt(m0, w) and frame.le(w, m1)]
             common: Optional[set[frozenset[str]]] = None
             for w in interval:
-                fam = set(theta(frame, w, max_moments=max_moments))
+                fam = set(theta(frame, w))
                 common = fam if common is None else common & fam
                 if not common:
                     break

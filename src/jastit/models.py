@@ -171,9 +171,6 @@ class ConstantSpecification:
         added.sort(key=lambda e: (len(e[0]), e[0], render(e[1])))
         return cls(frozenset(base), tuple(added))
 
-    def formulas(self) -> frozenset:
-        return frozenset(self.chain_formula(chain, a) for chain, a in self.entries)
-
     def contains_formula(self, f: Formula) -> bool:
         return any(self.chain_formula(chain, a) == f for chain, a in self.entries)
 

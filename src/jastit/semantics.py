@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .diagnostics import ResourceBoundExceeded, violations
-from .frames import JstitFrame, _closure
+from .frames import JstitFrame, _closed_sets, _closure
 from .models import (
     EVERYTHING, JstitModel, Universe, ev_contains, validate_model,
 )
@@ -149,11 +149,11 @@ def _parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(*(range(i) for i in range(1, n)))
 
 
-def _subsets_of(items: list) -> list[frozenset]:
-    out = [frozenset()]
-    for k in range(1, len(items) + 1):
-        out.extend(frozenset(c) for c in itertools.combinations(items, k))
-    return out
+def _subsets_of(items: list) -> Iterator[frozenset]:
+    """Every subset, smallest first, built only as it is asked for."""
+    for k in range(len(items) + 1):
+        for c in itertools.combinations(items, k):
+            yield frozenset(c)
 
 
 def _set_partitions(items: tuple) -> list[tuple[frozenset, ...]]:
@@ -184,11 +184,8 @@ def _preorders_over(moments: tuple[str, ...], leq: frozenset) -> list[frozenset]
     if len(extras) > 12:
         raise ResourceBoundExceeded(
             f"preorder enumeration over {len(extras)} free pairs exceeds the cost model")
-    seen = set()
-    for mask in range(1 << len(extras)):
-        chosen = [extras[i] for i in range(len(extras)) if mask >> i & 1]
-        seen.add(_closure(moments, set(leq) | set(chosen)))
-    return sorted(seen, key=sorted)
+    found = _closed_sets(leq, extras, lambda s: _closure(moments, s), lambda s: True)
+    return sorted(found, key=sorted)
 
 
 def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()

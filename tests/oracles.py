@@ -303,6 +303,19 @@ def rd_premises(antecedent: Formula,
 # counter-model search
 # ---------------------------------------------------------------------------
 
+def naive_preorders(moments, leq: frozenset) -> set[frozenset]:
+    """Every preorder on moments containing leq: each relation between leq
+    and the full relation, kept when it is reflexive and transitive."""
+    free = [(a, b) for a in moments for b in moments if (a, b) not in leq]
+    out = set()
+    for bits in itertools.product((False, True), repeat=len(free)):
+        rel = frozenset(leq) | {p for p, keep in zip(free, bits) if keep}
+        if all((m, m) in rel for m in moments) and all(
+                (a, d) in rel for a, b in rel for c, d in rel if b == c):
+            out.add(rel)
+    return out
+
+
 def naive_find_countermodel(f: Formula, bounds):
     """find_countermodel with every candidate built and validated in turn.
 

@@ -126,10 +126,18 @@ def test_classify_positive_frame(tmp_path, capsys):
     assert report["regular"]["holds"] is True
 
 
-def test_classify_theta_cap(tmp_path, capsys):
-    f = JstitFrame(["r", "a", "b"], [("r", "a"), ("r", "b")], agents=2)
-    path = write(tmp_path, "f.json", dump_frame(f))
-    assert main(["classify", "--theta-cap", "2", path]) == 3
+def test_classify_theta_family_bound(tmp_path, capsys):
+    names = [f"m{i:02d}" for i in range(17)]
+    chain = list(zip(names, names[1:]))
+    path = write(tmp_path, "chain.json",
+                 dump_frame(JstitFrame(names, chain, 1, dense=[chain[-1]])))
+    assert main(["classify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["theta_sizes"][names[-1]] == 1
+    leaves = [f"l{i:02d}" for i in range(17)]
+    star = [("r", leaf) for leaf in leaves]
+    path = write(tmp_path, "star.json",
+                 dump_frame(JstitFrame(["r"] + leaves, star, 1, dense=star)))
+    assert main(["classify", path]) == 3
     assert "resource bound exceeded" in capsys.readouterr().err
 
 
@@ -321,6 +329,14 @@ def test_search_none(capsys):
 
 def test_search_budget(capsys):
     assert main(["search", "--formula", "x : p -> p", "--budget", "10"]) == 3
+    assert "resource bound exceeded" in capsys.readouterr().err
+
+
+def test_search_budget_stops_before_all_whiteboard_subsets(capsys):
+    # 2^40 whiteboard subsets at the one moment: only the first few are built
+    lhs = " & ".join(f"E x{i}" for i in range(40))
+    assert main(["search", "--formula", f"{lhs} -> E x0",
+                 "--budget", "1", "--max-moments", "1"]) == 3
     assert "resource bound exceeded" in capsys.readouterr().err
 
 

@@ -199,14 +199,17 @@ def test_theta_unknown_moment():
         theta(golden_frame(), "zz")
 
 
-def test_theta_cap():
+def test_theta_family_bound():
     n = 17
     names = [f"m{i:02d}" for i in range(n)]
     chain = list(zip(names, names[1:]))
     f = JstitFrame(names, chain, 1, dense=[chain[-1]])
+    assert theta(f, names[-1]) == (frozenset({names[-1]}),)
+    # every set of leaves holding the first one is a member: 2^16 of them
+    leaves = [f"l{i:02d}" for i in range(17)]
+    star = [("r", leaf) for leaf in leaves]
     with pytest.raises(ResourceBoundExceeded):
-        theta(f, names[-1])
-    assert theta(f, names[-1], max_moments=n) == (frozenset({names[-1]}),)
+        theta(JstitFrame(["r"] + leaves, star, 1, dense=star), leaves[0])
 
 
 def test_every_theta_member_has_a_predecessor():
@@ -219,6 +222,54 @@ def test_every_theta_member_has_a_predecessor():
                 assert m in s
                 for x in s:
                     assert any(f.lt(y, x) for y in f.moments)
+
+
+def _raw_theta_conditions(f: JstitFrame):
+    """The four defining conditions of a theta member, from the raw order,
+    density and re pairs; histories are walked along recomputed covers."""
+    lt = {(a, b) for a, b in f.leq if a != b}
+    covers = {(a, b) for a, b in lt
+              if not any((a, c) in lt and (c, b) in lt for c in f.moments)}
+    chains = []
+
+    def walk(path):
+        kids = [b for a, b in covers if a == path[-1]]
+        if not kids:
+            chains.append(frozenset(path))
+        for b in kids:
+            walk(path + [b])
+
+    for m in f.moments:
+        if not any(b == m for _, b in lt):
+            walk([m])
+    nxt = covers - f.dense
+    bodies = {m1: [{m2 for m2 in h if (m1, m2) in nxt} for h in chains if m1 in h]
+              for m1 in f.moments}
+
+    def holds(m, s):
+        return (m in s
+                and all(any((a, x) in lt for a in f.moments) for x in s)
+                and all(b in s for a, b in f.re if a in s)
+                and not any(m1 not in s and all(body & s for body in hs)
+                            for m1, hs in bodies.items()))
+    return holds
+
+
+def test_theta_above_sixteen_moments():
+    # families here reach thousands of members, so three moments per frame
+    # are checked, and each member is intersected with one drawn member
+    rng = random.Random(43)
+    for n in (17, 18, 19, 20):
+        f = random_jstit_frame(rng, n, dense_p=0.5)
+        holds = _raw_theta_conditions(f)
+        for m in rng.sample(f.moments, 3):
+            family = theta(f, m)
+            members = set(family)
+            assert len(members) == len(family)
+            for s in family:
+                assert holds(m, s), (m, sorted(s))
+                t = rng.choice(family)
+                assert s & t in members, (m, sorted(s), sorted(t))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import pytest
 
 from jastit.calculus import SCHEME_IDS
 from jastit.documents import canonical_json, dump_model
-from jastit.generators import random_formula, random_jstit_frame, random_model, scheme_instance
-from oracles import naive_find_countermodel, naive_satisfies
+from jastit.generators import all_trees, random_formula, random_jstit_frame, random_model, scheme_instance
+from oracles import naive_find_countermodel, naive_preorders, naive_satisfies
 from jastit.diagnostics import ResourceBoundExceeded, violations
 from jastit.frames import JstitFrame, is_regular
 from jastit.models import JstitModel, OutOfUniverseError, validate_model
+from jastit import semantics
 from jastit.semantics import Index, SearchBounds, find_countermodel, satisfies, valid_in_model
 from jastit.countermodels import RegWitness, TARGET_FORMULA, build_jstit_countermodel
 from jastit.syntax import (
@@ -240,6 +241,20 @@ def test_search_agrees_with_per_candidate_oracle():
                 assert got == _describe(naive_find_countermodel(f, bounds)[0]), (render(f), bounds)
                 kinds.add(got[0])
     assert kinds == {"model", "none", "bound"}
+
+
+def test_relation_pairs_agree_with_naive_preorders():
+    trees = 0
+    for n in range(1, 5):
+        for parents in all_trees(n):
+            moments = [f"m{i}" for i in range(n)]
+            edges = [(moments[p], m) for p, m in zip(parents, moments) if p is not None]
+            base = JstitFrame(moments, edges, agents=2)
+            pres = sorted(naive_preorders(base.moments, base.leq), key=sorted)
+            assert semantics._relation_pairs(base) == [
+                (r, re) for r in pres for re in pres if r <= re], parents
+            trees += 1
+    assert trees == 10
 
 
 def test_search_rejects_unknown_mode_and_agents():
