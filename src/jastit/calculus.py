@@ -1,28 +1,35 @@
 """Axiom recognition and Hilbert proof checking for the announcement system.
 
-The system has ten axiom groups and four rules. The matcher tries the
-specific announcement and justification schemes first, then the modal
-bases, then plain propositional logic:
+The system has ten axiom groups and four rules. Every group of fixed
+shape is written out in ``SCHEME_PATTERNS``, which is the reference for
+what each scheme accepts: the patterns are parsed once at import, and one
+structural matcher checks them all. In a pattern, upper-case atoms are
+formula metavariables, ``s`` and ``t`` polynomial metavariables, and every
+``[n]`` stands for the one agent metavariable ``j``. Two groups keep code
+of their own:
 
-    A2  Box A -> [j]A
     A3  (Dia [j1]A1 & ... & Dia [jn]An) -> Dia ([j1]A1 & ... & [jn]An),
         agents pairwise distinct, conjuncts in the same order on both sides
-    A4  s:(A -> B) -> (t:A -> (s * t):B)
-    A5  t:A -> (!t:(t:A) & K A)
-    A6  (s:A | t:A) -> (s + t):A
-    A8  K A -> Box K Box A
-    A9  Box E t -> K Box E t
-    A1  the S5 base {K-distribution, T, 5} for Box and for each [j]
-    A7  the S4 base {K-distribution, T, 4} for K
     A0  classical propositional logic
+
+The first match wins, in the order A2, A3, A4, A5, A6, A8, A9, A1 (the S5
+base {K-distribution, T, 5}, for Box before [j]), A7 (the S4 base
+{K-distribution, T, 4} for K), then A0.
 
 A0 has two modes. The default "oracle" mode accepts any formula whose
 Boolean skeleton is a truth-table tautology when maximal non-Boolean
 subformulas are read as atoms: any full propositional axiom set generates
 exactly these under modus ponens, so the oracle is basis-agnostic. The
-"strict" mode instead matches a fixed ten-scheme basis (the standard
-implication, conjunction, disjunction and negation postulates plus double
-negation elimination) for audits that want a concrete instance.
+"strict" mode instead matches the ten-scheme basis ``STRICT_BASIS`` (the
+standard implication, conjunction, disjunction and negation postulates
+plus double negation elimination) for audits that want a concrete
+instance.
+
+A match records its bindings as ``AxiomMatch.detail``: the fixed head
+(``modality`` and ``axiom`` for the modal bases, ``basis`` for strict A0)
+first, then polynomial metavariables, then formula metavariables, then
+``j``, each group by name. A [j] row of A1 names the agent in
+``modality`` (for example ``[3]``) instead of binding ``j``.
 
 Rules: R1 is modus ponens; R2 is necessitation for K; the announcement
 rule turns K A -> (~Box E t1 | ... | ~Box E tn | Box E s1 | ... | Box E sk)
@@ -39,14 +46,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .diagnostics import Diagnostic, ResourceBoundExceeded, VIOLATION, WARNING
-from .models import ConstantSpecification
+from .models import ConstantSpecification, cs_entry_key
 from .syntax import (
-    And, Announced, App, Box, Check, Cstit, Formula, Knows, Not,
-    Proves, Sum, as_dia, as_implies, as_or, flatten_and, flatten_or,
-    implies, render, render_polynomial,
+    And, Announced, App, Box, Check, Cstit, Formula, Knows, Not, ProofVar,
+    PropVar, Proves, Sum, as_dia, as_implies, flatten_and, flatten_or,
+    implies, parse_formula, render, render_polynomial,
 )
 
 __all__ = [
@@ -55,7 +62,7 @@ __all__ = [
     "Axiom", "MP", "KNec", "RD", "RCS", "BoxNec", "CstitNec",
     "Justification", "ProofLine", "Proof",
     "LineVerdict", "ProofVerdict", "verify_proof", "check_cs",
-    "SCHEME_IDS", "STRICT_BASIS",
+    "SCHEME_IDS", "SCHEME_PATTERNS", "STRICT_BASIS",
 ]
 
 SCHEME_IDS = ("A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9")
@@ -75,20 +82,102 @@ class AxiomMatch:
         return dict(self.detail)
 
 
-def _d(**kw: str) -> Detail:
-    return tuple(kw.items())
-
-
 # ---------------------------------------------------------------------------
-# specific schemes
+# schemes as patterns
 
-def _match_a2(f: Formula) -> Optional[AxiomMatch]:
-    ir = as_implies(f)
-    if not ir:
-        return None
-    l, r = ir
-    if isinstance(l, Box) and isinstance(r, Cstit) and l.arg == r.arg:
-        return AxiomMatch("A2", _d(A=render(l.arg), j=str(r.agent)))
+# (scheme, "modality axiom" head or "", pattern), in first-match order; A3
+# is tried between A2 and A4
+SCHEME_PATTERNS: tuple[tuple[str, str, str], ...] = (
+    ("A2", "", "Box A -> [0]A"),
+    ("A4", "", "s:(A -> B) -> (t:A -> (s * t):B)"),
+    ("A5", "", "t:A -> (!t:(t:A) & K A)"),
+    ("A6", "", "(s:A | t:A) -> (s + t):A"),
+    ("A8", "", "K A -> Box K Box A"),
+    ("A9", "", "Box E t -> K Box E t"),
+    ("A1", "Box K", "Box (A -> B) -> (Box A -> Box B)"),
+    ("A1", "Box T", "Box A -> A"),
+    ("A1", "Box 5", "~Box ~A -> Box ~Box ~A"),
+    ("A1", "[j] K", "[0](A -> B) -> ([0]A -> [0]B)"),
+    ("A1", "[j] T", "[0]A -> A"),
+    ("A1", "[j] 5", "~[0]~A -> [0]~[0]~A"),
+    ("A7", "K K", "K (A -> B) -> (K A -> K B)"),
+    ("A7", "K T", "K A -> A"),
+    ("A7", "K 4", "K A -> K K A"),
+)
+
+# The ten-scheme basis for strict mode: the standard postulates for ->, &,
+# | and ~, with double negation elimination closing the classical gap.
+STRICT_BASIS: tuple[tuple[str, str], ...] = (
+    ("PC1", "A -> (B -> A)"),
+    ("PC2", "(A -> B) -> ((A -> (B -> C)) -> (A -> C))"),
+    ("PC3", "A -> (B -> A & B)"),
+    ("PC4", "A & B -> A"),
+    ("PC5", "A & B -> B"),
+    ("PC6", "A -> A | B"),
+    ("PC7", "B -> A | B"),
+    ("PC8", "(A -> C) -> ((B -> C) -> (A | B -> C))"),
+    ("PC9", "(A -> B) -> ((A -> ~B) -> ~A)"),
+    ("PC10", "~~A -> A"),
+)
+
+_Row = tuple[str, Detail, Formula]
+
+
+def _head(text: str) -> Detail:
+    return tuple(zip(("modality", "axiom"), text.split()))
+
+
+_SCHEMES: tuple[_Row, ...] = tuple(
+    (scheme, _head(head), parse_formula(text))
+    for scheme, head, text in SCHEME_PATTERNS)
+_STRICT: tuple[_Row, ...] = tuple(
+    ("A0", (("basis", name),), parse_formula(text)) for name, text in STRICT_BASIS)
+
+
+def _unify(pattern, term, env: dict) -> bool:
+    """One-way match of a pattern against a term, binding metavariables in
+    env. Patterns hold no object-level atoms, so every PropVar and ProofVar
+    in one is a metavariable; an agent binds under the name j."""
+    kind = type(pattern)
+    if kind is PropVar or kind is ProofVar:
+        bound = env.setdefault(pattern.name, term)
+        return bound is term or bound == term
+    if kind is not type(term):
+        return False
+    if kind is Not or kind is Box or kind is Knows or kind is Check:
+        return _unify(pattern.arg, term.arg, env)
+    if kind is And or kind is Sum or kind is App:
+        return (_unify(pattern.left, term.left, env)
+                and _unify(pattern.right, term.right, env))
+    if kind is Proves:
+        return (_unify(pattern.poly, term.poly, env)
+                and _unify(pattern.arg, term.arg, env))
+    if kind is Cstit:
+        return (env.setdefault("j", term.agent) == term.agent
+                and _unify(pattern.arg, term.arg, env))
+    return _unify(pattern.poly, term.poly, env)  # Announced
+
+
+def _detail(head: Detail, env: dict) -> Detail:
+    # a [j] head takes the agent, which then is not listed again
+    fixed = []
+    for key, value in head:
+        if value == "[j]":
+            value = f"[{env.pop('j')}]"
+        fixed.append((key, value))
+    # polynomial (lower case), then formula (upper case) metavariables, then j
+    names = sorted(env, key=lambda n: (n == "j", n.isupper(), n))
+    return tuple(fixed) + tuple(
+        (n, str(env[n]) if n == "j"
+         else render(env[n]) if n.isupper() else render_polynomial(env[n]))
+        for n in names)
+
+
+def _first_match(f: Formula, rows: Iterable[_Row]) -> Optional[AxiomMatch]:
+    for scheme, head, pattern in rows:
+        env: dict = {}
+        if _unify(pattern, f, env):
+            return AxiomMatch(scheme, _detail(head, env))
     return None
 
 
@@ -112,189 +201,16 @@ def _match_a3(f: Formula) -> Optional[AxiomMatch]:
     for part, st in zip(parts, stits):
         if as_dia(part) != st:
             return None
-    return AxiomMatch("A3", _d(n=str(len(stits)),
-                               agents=",".join(str(j) for j in agents)))
-
-
-def _match_a4(f: Formula) -> Optional[AxiomMatch]:
-    ir = as_implies(f)
-    if not ir:
-        return None
-    l, r = ir
-    if not isinstance(l, Proves):
-        return None
-    ab = as_implies(l.arg)
-    if not ab:
-        return None
-    a, b = ab
-    s = l.poly
-    ir2 = as_implies(r)
-    if not ir2:
-        return None
-    ta, stb = ir2
-    if not (isinstance(ta, Proves) and ta.arg == a):
-        return None
-    t = ta.poly
-    if (isinstance(stb, Proves) and stb.poly == App(s, t) and stb.arg == b):
-        return AxiomMatch("A4", _d(s=render_polynomial(s),
-                                   t=render_polynomial(t),
-                                   A=render(a), B=render(b)))
-    return None
-
-
-def _match_a5(f: Formula) -> Optional[AxiomMatch]:
-    ir = as_implies(f)
-    if not ir:
-        return None
-    l, r = ir
-    if not (isinstance(l, Proves) and isinstance(r, And)):
-        return None
-    t, a = l.poly, l.arg
-    want_left = Proves(Check(t), Proves(t, a))
-    if r.left == want_left and r.right == Knows(a):
-        return AxiomMatch("A5", _d(t=render_polynomial(t), A=render(a)))
-    return None
-
-
-def _match_a6(f: Formula) -> Optional[AxiomMatch]:
-    ir = as_implies(f)
-    if not ir:
-        return None
-    l, r = ir
-    d = as_or(l)
-    if not d:
-        return None
-    sa, ta = d
-    if not (isinstance(sa, Proves) and isinstance(ta, Proves)
-            and sa.arg == ta.arg):
-        return None
-    if (isinstance(r, Proves) and r.poly == Sum(sa.poly, ta.poly)
-            and r.arg == sa.arg):
-        return AxiomMatch("A6", _d(s=render_polynomial(sa.poly),
-                                   t=render_polynomial(ta.poly),
-                                   A=render(sa.arg)))
-    return None
-
-
-def _match_a8(f: Formula) -> Optional[AxiomMatch]:
-    ir = as_implies(f)
-    if not ir:
-        return None
-    l, r = ir
-    if (isinstance(l, Knows)
-            and r == Box(Knows(Box(l.arg)))):
-        return AxiomMatch("A8", _d(A=render(l.arg)))
-    return None
-
-
-def _match_a9(f: Formula) -> Optional[AxiomMatch]:
-    ir = as_implies(f)
-    if not ir:
-        return None
-    l, r = ir
-    if (isinstance(l, Box) and isinstance(l.arg, Announced)
-            and r == Knows(l)):
-        return AxiomMatch("A9", _d(t=render_polynomial(l.arg.poly)))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# modal bases: S5 for Box/[j], S4 for K
-#
-# Each base is expressed through a destructor that strips one layer of the
-# modality or returns None. With l the antecedent and r the consequent:
-#   K-distribution   l = M(A -> B),  r = MA -> MB
-#   T                l = MA,         r = A
-#   4                r = M(l)  with  l = MA
-#   5                r = M(l)  with  l = ~M~A
-
-def _un_box(g: Formula) -> Optional[Formula]:
-    return g.arg if isinstance(g, Box) else None
-
-
-def _un_knows(g: Formula) -> Optional[Formula]:
-    return g.arg if isinstance(g, Knows) else None
-
-
-def _un_cstit(j: int) -> Callable[[Formula], Optional[Formula]]:
-    def un(g: Formula) -> Optional[Formula]:
-        return g.arg if isinstance(g, Cstit) and g.agent == j else None
-    return un
-
-
-def _modal_kdist(l: Formula, r: Formula, un) -> Optional[Detail]:
-    body = un(l)
-    if body is None:
-        return None
-    ab = as_implies(body)
-    if not ab:
-        return None
-    a, b = ab
-    ir = as_implies(r)
-    if not ir:
-        return None
-    ma, mb = ir
-    if un(ma) == a and un(mb) == b:
-        return _d(A=render(a), B=render(b))
-    return None
-
-
-def _modal_t(l: Formula, r: Formula, un) -> Optional[Detail]:
-    body = un(l)
-    if body is not None and body == r:
-        return _d(A=render(body))
-    return None
-
-
-def _modal_4(l: Formula, r: Formula, un) -> Optional[Detail]:
-    if un(l) is not None and un(r) == l:
-        return _d(A=render(un(l)))
-    return None
-
-
-def _modal_5(l: Formula, r: Formula, un) -> Optional[Detail]:
-    # l must be the possibility form ~M~A; 5 then says l -> M(l)
-    if not isinstance(l, Not):
-        return None
-    inner = un(l.arg)
-    if inner is None or not isinstance(inner, Not):
-        return None
-    if un(r) == l:
-        return _d(A=render(inner.arg))
-    return None
-
-
-def _match_a1(f: Formula) -> Optional[AxiomMatch]:
-    ir = as_implies(f)
-    if not ir:
-        return None
-    l, r = ir
-    candidates: list[tuple[str, Callable]] = [("Box", _un_box)]
-    probe = l.arg if isinstance(l, Not) else l
-    if isinstance(probe, Cstit):
-        candidates.append((f"[{probe.agent}]", _un_cstit(probe.agent)))
-    for name, un in candidates:
-        for tag, m in (("K", _modal_kdist), ("T", _modal_t), ("5", _modal_5)):
-            got = m(l, r, un)
-            if got is not None:
-                return AxiomMatch("A1", _d(modality=name, axiom=tag) + got)
-    return None
-
-
-def _match_a7(f: Formula) -> Optional[AxiomMatch]:
-    ir = as_implies(f)
-    if not ir:
-        return None
-    l, r = ir
-    for tag, m in (("K", _modal_kdist), ("T", _modal_t), ("4", _modal_4)):
-        got = m(l, r, _un_knows)
-        if got is not None:
-            return AxiomMatch("A7", _d(modality="K", axiom=tag) + got)
-    return None
+    return AxiomMatch("A3", (("n", str(len(stits))),
+                             ("agents", ",".join(str(j) for j in agents))))
 
 
 # ---------------------------------------------------------------------------
 # A0: classical propositional logic
+
+# truth tables are built over at most this many atoms
+MAX_ATOMS = 20
+
 
 def _boolean_atoms(f: Formula) -> dict:
     """Maximal non-Boolean subformulas, in first-seen order."""
@@ -313,13 +229,13 @@ def _boolean_atoms(f: Formula) -> dict:
     return atoms
 
 
-def is_tautology(f: Formula, *, max_atoms: int = 20) -> bool:
+def is_tautology(f: Formula) -> bool:
     """Truth-table tautology over the Boolean skeleton of f."""
     atoms = _boolean_atoms(f)
-    if len(atoms) > max_atoms:
+    if len(atoms) > MAX_ATOMS:
         raise ResourceBoundExceeded(
             f"tautology check over {len(atoms)} atoms exceeds the "
-            f"{max_atoms}-atom bound")
+            f"{MAX_ATOMS}-atom bound")
 
     def ev(g: Formula, row: int) -> bool:
         if isinstance(g, And):
@@ -331,95 +247,26 @@ def is_tautology(f: Formula, *, max_atoms: int = 20) -> bool:
     return all(ev(f, row) for row in range(1 << len(atoms)))
 
 
-# The ten-scheme basis for strict mode: the standard postulates for ->, &,
-# | and ~, with double negation elimination closing the classical gap.
-# Patterns use strings as metavariables.
-_P = Union[str, tuple]
-
-STRICT_BASIS: tuple[tuple[str, str], ...] = (
-    ("PC1", "A -> (B -> A)"),
-    ("PC2", "(A -> B) -> ((A -> (B -> C)) -> (A -> C))"),
-    ("PC3", "A -> (B -> A & B)"),
-    ("PC4", "A & B -> A"),
-    ("PC5", "A & B -> B"),
-    ("PC6", "A -> A | B"),
-    ("PC7", "B -> A | B"),
-    ("PC8", "(A -> C) -> ((B -> C) -> (A | B -> C))"),
-    ("PC9", "(A -> B) -> ((A -> ~B) -> ~A)"),
-    ("PC10", "~~A -> A"),
-)
-
-_STRICT_PATTERNS: tuple[tuple[str, _P], ...] = (
-    ("PC1", ("->", "A", ("->", "B", "A"))),
-    ("PC2", ("->", ("->", "A", "B"),
-             ("->", ("->", "A", ("->", "B", "C")), ("->", "A", "C")))),
-    ("PC3", ("->", "A", ("->", "B", ("&", "A", "B")))),
-    ("PC4", ("->", ("&", "A", "B"), "A")),
-    ("PC5", ("->", ("&", "A", "B"), "B")),
-    ("PC6", ("->", "A", ("|", "A", "B"))),
-    ("PC7", ("->", "B", ("|", "A", "B"))),
-    ("PC8", ("->", ("->", "A", "C"),
-             ("->", ("->", "B", "C"), ("->", ("|", "A", "B"), "C")))),
-    ("PC9", ("->", ("->", "A", "B"), ("->", ("->", "A", ("~", "B")), ("~", "A")))),
-    ("PC10", ("->", ("~", ("~", "A")), "A")),
-)
-
-
-def _pattern_match(pat: _P, f: Formula, env: dict) -> bool:
-    if isinstance(pat, str):
-        if pat in env:
-            return env[pat] == f
-        env[pat] = f
-        return True
-    op = pat[0]
-    if op == "->":
-        ir = as_implies(f)
-        return bool(ir) and _pattern_match(pat[1], ir[0], env) \
-            and _pattern_match(pat[2], ir[1], env)
-    if op == "|":
-        d = as_or(f)
-        return bool(d) and _pattern_match(pat[1], d[0], env) \
-            and _pattern_match(pat[2], d[1], env)
-    if op == "&":
-        return isinstance(f, And) and _pattern_match(pat[1], f.left, env) \
-            and _pattern_match(pat[2], f.right, env)
-    if op == "~":
-        return isinstance(f, Not) and _pattern_match(pat[1], f.arg, env)
-    raise AssertionError(f"unknown pattern operator {op!r}")
-
-
 def match_strict_tautology(f: Formula) -> Optional[AxiomMatch]:
-    for pc, pat in _STRICT_PATTERNS:
-        env: dict = {}
-        if _pattern_match(pat, f, env):
-            detail = (("basis", pc),) + tuple(
-                (k, render(v)) for k, v in sorted(env.items()))
-            return AxiomMatch("A0", detail)
-    return None
+    return _first_match(f, _STRICT)
 
 
-def _match_a0(f: Formula, mode: str, max_atoms: int) -> Optional[AxiomMatch]:
+def _match_a0(f: Formula, mode: str) -> Optional[AxiomMatch]:
     if mode == "strict":
         return match_strict_tautology(f)
     if mode != "oracle":
         raise ValueError(f"unknown tautology mode {mode!r}")
-    if is_tautology(f, max_atoms=max_atoms):
-        return AxiomMatch("A0", _d(atoms=str(len(_boolean_atoms(f)))))
+    if is_tautology(f):
+        return AxiomMatch("A0", (("atoms", str(len(_boolean_atoms(f)))),))
     return None
 
 
-_SPECIFIC = (_match_a2, _match_a3, _match_a4, _match_a5, _match_a6,
-             _match_a8, _match_a9, _match_a1, _match_a7)
-
-
-def match_axiom(f: Formula, *, tautology_mode: str = "oracle",
-                max_atoms: int = 20) -> Optional[AxiomMatch]:
-    """First matching scheme in the order A2..A6, A8, A9, A1, A7, A0."""
-    for m in _SPECIFIC:
-        got = m(f)
-        if got is not None:
-            return got
-    return _match_a0(f, tautology_mode, max_atoms)
+def match_axiom(f: Formula, *, tautology_mode: str = "oracle"
+                ) -> Optional[AxiomMatch]:
+    """First matching scheme in the order A2, A3, then the rest of
+    SCHEME_PATTERNS (A4..A6, A8, A9, A1, A7), then A0."""
+    return (_first_match(f, _SCHEMES[:1]) or _match_a3(f)
+            or _first_match(f, _SCHEMES[1:]) or _match_a0(f, tautology_mode))
 
 
 # ---------------------------------------------------------------------------
@@ -666,15 +513,12 @@ def verify_proof(proof: Proof, cs: Optional[ConstantSpecification] = None,
     return ProofVerdict(tuple(verdicts))
 
 
-def check_cs(cs: ConstantSpecification, *, tautology_mode: str = "oracle"
-             ) -> tuple[Diagnostic, ...]:
+def check_cs(cs: ConstantSpecification) -> tuple[Diagnostic, ...]:
     """Every payload must be an axiom instance; closure gaps are violations
     and auto-completed entries are flagged."""
     out: list[Diagnostic] = []
-    entries = sorted(cs.entries,
-                     key=lambda e: (len(e[0]), e[0], render(e[1])))
-    for chain, payload in entries:
-        if match_axiom(payload, tautology_mode=tautology_mode) is None:
+    for chain, payload in sorted(cs.entries, key=cs_entry_key):
+        if match_axiom(payload) is None:
             out.append(Diagnostic(
                 VIOLATION, "cs-entry-not-axiom",
                 f"{':'.join(chain)} annotates {render(payload)}, "

@@ -13,8 +13,10 @@ Eight subcommands over JSON documents:
 
 Exit codes: 0 the checked property holds (or the report succeeded), 1 the
 property fails or a counter-model was found, 2 the input was malformed,
-3 a resource bound was exceeded. Output is deterministic for identical
-inputs: JSON is emitted with sorted keys and history ids are canonical.
+3 a resource bound was exceeded, 4 an internal error (a fault in jastit,
+reported in one line on stderr rather than as a traceback). Output is
+deterministic for identical inputs: JSON is emitted with sorted keys and
+history ids are canonical.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 _INPUT_ERRORS = (DocumentError, ParseError, OutOfUniverseError,
                  json.JSONDecodeError, OSError, ValueError, KeyError)
@@ -290,6 +293,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -50,7 +50,9 @@ from .countermodels import (
     MixsuccWitness, RegWitness, TARGET_FORMULA, dense_pairs_supporting,
 )
 from .frames import JstitFrame, TemporalFrame
-from .models import ConstantSpecification, EVERYTHING, JstitModel, Universe
+from .models import (
+    ConstantSpecification, EVERYTHING, JstitModel, Universe, cs_entry_key,
+)
 from .semantics import Index
 from .syntax import (
     Formula, ParseError, Polynomial, parse_formula, parse_polynomial, render,
@@ -251,14 +253,14 @@ def load_model(doc: dict, *, default_agents: int = 2) -> JstitModel:
         )
 
     act = {}
-    for key, value in (doc.get("act") or {}).items():
+    for key, value in _object(doc, "act").items():
         m, h = _split_key(key, "act")
         act[(m, h)] = frozenset(
             _polynomial(s, f"act[{key!r}]") for s in _str_list(value, f"act[{key!r}]"))
 
     evidence = {}
     default = EVERYTHING
-    for key, value in (doc.get("evidence") or {}).items():
+    for key, value in _object(doc, "evidence").items():
         if key == "default":
             default = _evidence_set(value, "evidence default")
             continue
@@ -267,7 +269,7 @@ def load_model(doc: dict, *, default_agents: int = 2) -> JstitModel:
             _evidence_set(value, f"evidence[{key!r}]")
 
     valuation = {}
-    for p, pairs in (doc.get("valuation") or {}).items():
+    for p, pairs in _object(doc, "valuation").items():
         valuation[p] = [tuple(pair) for pair in _pair_list(pairs, f"valuation[{p!r}]")]
 
     try:
@@ -275,6 +277,16 @@ def load_model(doc: dict, *, default_agents: int = 2) -> JstitModel:
                           evidence_default=default)
     except ValueError as e:
         raise DocumentError(f"model document: {e}") from e
+
+
+def _object(doc: dict, key: str) -> dict:
+    """An optional block of a model document; absent or null reads as empty."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise DocumentError(f"model document.{key} must be an object")
+    return value
 
 
 def _evidence_set(value: Any, where: str):
@@ -337,9 +349,8 @@ def load_cs(entries: Any) -> ConstantSpecification:
 
 
 def dump_cs(cs: ConstantSpecification) -> list[dict]:
-    entries = sorted(cs.entries, key=lambda e: (len(e[0]), e[0], render(e[1])))
     return [{"chain": list(chain), "formula": render(payload)}
-            for chain, payload in entries]
+            for chain, payload in sorted(cs.entries, key=cs_entry_key)]
 
 
 _JUST_KEYS = {
@@ -364,7 +375,7 @@ def _load_just(block: Any, where: str) -> Justification:
     if not isinstance(block, dict):
         raise DocumentError(f"{where} must be an object")
     kind = _need(block, "kind", where)
-    if kind not in _JUST_KEYS:
+    if not isinstance(kind, str) or kind not in _JUST_KEYS:
         raise DocumentError(f"{where}.kind {kind!r} is not a justification kind")
     _check_keys(block, _JUST_KEYS[kind], where)
     try:

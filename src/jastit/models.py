@@ -25,7 +25,7 @@ from .syntax import (
 
 __all__ = [
     "Universe", "EVERYTHING", "EvidenceSet", "ev_contains", "ev_subset",
-    "ConstantSpecification", "JstitModel", "OutOfUniverseError",
+    "ConstantSpecification", "cs_entry_key", "JstitModel", "OutOfUniverseError",
     "act_settled", "validate_model", "derived_property_check",
 ]
 
@@ -129,6 +129,13 @@ def ev_subset(a: EvidenceSet, b: EvidenceSet) -> bool:
 CsEntry = tuple[tuple[str, ...], Formula]
 
 
+def cs_entry_key(entry: CsEntry) -> tuple:
+    """Canonical order of constant specification entries: shorter chains
+    first, then by chain, then by the rendered payload."""
+    chain, payload = entry
+    return (len(chain), chain, render(payload))
+
+
 @dataclass(frozen=True)
 class ConstantSpecification:
     """Entries (constant chain outermost first, payload formula).
@@ -168,7 +175,7 @@ class ConstantSpecification:
                     base.add(derived)
                     added.append(derived)
                     work.append(derived)
-        added.sort(key=lambda e: (len(e[0]), e[0], render(e[1])))
+        added.sort(key=cs_entry_key)
         return cls(frozenset(base), tuple(added))
 
     def contains_formula(self, f: Formula) -> bool:

@@ -109,11 +109,8 @@ def valid_in_model(model: JstitModel, f: Formula) -> tuple[bool, Optional[Index]
     """Truth at every moment-history pair; first failing pair in canonical order."""
     model.ensure_in_universe(f)
     check_agents(f, model.frame.agents)
-    ev = _Evaluator(model)
-    for m, h in model.mh_pairs():
-        if not ev.sat(m, h, f):
-            return False, Index(m, h)
-    return True, None
+    bad = _first_falsifying(model, f)
+    return bad is None, bad
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +164,7 @@ def _set_partitions(items: tuple) -> list[tuple[frozenset, ...]]:
         for i, cell in enumerate(part):
             grown = part[:i] + (cell | {first},) + part[i + 1:]
             out.append(tuple(sorted(grown, key=sorted)))
-    seen = set()
-    uniq = []
-    for p in sorted(out, key=lambda p: (len(p), tuple(sorted(map(sorted, p))))):
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    return uniq
+    return sorted(out, key=lambda p: (len(p), tuple(sorted(map(sorted, p)))))
 
 
 def _preorders_over(moments: tuple[str, ...], leq: frozenset) -> list[frozenset]:

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from jastit import cli
 from jastit.calculus import Axiom, BoxNec, Proof, RD
 from jastit.cli import main
 from jastit.countermodels import RegWitness, build_jstit_countermodel
@@ -349,3 +352,36 @@ def test_search_agent_bound_respects_global_flag(capsys):
                  "--max-moments", "1"]) == 0
     assert main(["--ag", "1", "search", "--formula", "[1] p -> p",
                  "--max-moments", "1"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed documents and internal faults
+
+MALFORMED = [
+    ("check-model", {"moments": ["r"], "act": [1]}, "act must be an object"),
+    ("check-model", {"moments": ["r"], "evidence": ["x"]},
+     "evidence must be an object"),
+    ("check-model", {"moments": ["r"], "valuation": ["p"]},
+     "valuation must be an object"),
+    ("verify-proof", {"lines": [{"formula": "p", "just": {"kind": ["axiom"]}}]},
+     "is not a justification kind"),
+]
+
+
+@pytest.mark.parametrize("command,doc,message", MALFORMED)
+def test_malformed_document_is_bad_input(tmp_path, capsys, command, doc, message):
+    path = write(tmp_path, "doc.json", doc)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_is_not_a_failure(capsys, monkeypatch):
+    def broken(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "_cmd_parse", broken)
+    assert main(["parse", "p"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: TypeError: unsupported operand\n"

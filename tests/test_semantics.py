@@ -257,6 +257,16 @@ def test_relation_pairs_agree_with_naive_preorders():
     assert trees == 10
 
 
+def test_set_partitions_are_bell_many_and_distinct():
+    for n, bell in enumerate((1, 1, 2, 5, 15, 52, 203)):
+        items = tuple(range(n))
+        parts = semantics._set_partitions(items)
+        assert len(parts) == bell
+        assert len(set(parts)) == bell
+        for p in parts:
+            assert sorted(x for cell in p for x in cell) == list(items)
+
+
 def test_search_rejects_unknown_mode_and_agents():
     with pytest.raises(ValueError):
         find_countermodel(parse_formula("p"), SearchBounds(evidence_mode="x"))
