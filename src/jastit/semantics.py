@@ -13,7 +13,7 @@ from .models import (
 )
 from .syntax import (
     And, Announced, Box, Cstit, Formula, Knows, Not, Proves, PropVar,
-    check_agents, prop_vars, render_polynomial,
+    check_agents, prop_vars, render_polynomial, subformulas,
 )
 
 __all__ = [
@@ -121,15 +121,21 @@ class SearchBounds:
     """Enumeration limits for find_countermodel.
 
     Cost model: for each rooted tree on up to max_moments moments the search
-    multiplies choice assignments, preorder pairs, whiteboard assignments
-    ((2^|polynomials|) per moment-class slot, monotone along the order) and
-    valuations (2^(|vars| * |MH|)); enumeration stops with a resource error
-    once budget candidates have been inspected without an answer.
+    multiplies choice maps (one when f has no [j]), relation pairs (one per
+    distinct value of the parts of (r, re) that f can read), whiteboard
+    assignments ((2^|announced|) per moment-class slot, monotone along the
+    order, over the polynomials f announces with E) and valuations
+    (2^(|vars| * |MH|)); enumeration stops with a resource error once budget
+    candidates have been inspected without an answer.
 
-    A candidate is one (frame, act, valuation) triple, counted in enumeration
-    order. Model validity does not depend on the valuation, so each whiteboard
-    assignment is validated once; when it is rejected, all of its valuations
-    are counted as inspected without being built.
+    A candidate is one (frame, act, valuation) triple that the search
+    visits, counted in enumeration order. Model validity does not depend on
+    the valuation, so each whiteboard assignment is validated once; when it
+    is rejected, all of its valuations are counted as inspected without
+    being built. Candidates skipped because f cannot tell them from an
+    earlier one are not counted.
+
+    max_moments, max_histories and budget must be positive integers.
     """
 
     max_moments: int = 3
@@ -137,6 +143,12 @@ class SearchBounds:
     evidence_mode: str = "everything"  # or "empty"
     agents: int = 2
     budget: int = 200_000
+
+    def __post_init__(self) -> None:
+        for name in ("max_moments", "max_histories", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
@@ -189,12 +201,32 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     always are), and whose evidence function is constantly Everything (mode
     "everything") or constantly empty (mode "empty"). A None result means no
     counter-model exists in that class within the bounds.
+
+    Only the parts of a model that f can read are enumerated (its cone of
+    influence). Acts range over the polynomials f announces: every act
+    constraint of validate_model is a conjunction over single polynomials
+    and the empty placement of a polynomial is always valid, so a valid
+    act's projection onto the announced polynomials is valid, is enumerated
+    no later than the act, and gives f the same truth value. Choice maps
+    past the first are skipped when f has no [j], and a relation pair is
+    skipped when an earlier one agrees with it on r (if f has K) and on re
+    (if f has a proof assertion or announces anything): re is otherwise read
+    only by evidence monotonicity, which holds under constant evidence, and
+    by act transparency, which holds vacuously on an empty whiteboard. A
+    skipped candidate gives f the same verdict at every index as one visited
+    before it, so the first counter-model is the one a full enumeration
+    finds.
     """
     if bounds.evidence_mode not in ("everything", "empty"):
         raise ValueError(f"unknown evidence_mode {bounds.evidence_mode!r}")
     check_agents(f, bounds.agents)
     universe = Universe.close(formulas=[f])
-    polys = sorted(universe.polynomials, key=render_polynomial)
+    parts = subformulas(f)
+    announced = sorted({g.poly for g in parts if isinstance(g, Announced)},
+                       key=render_polynomial)
+    reads_choice = any(isinstance(g, Cstit) for g in parts)
+    reads_r = any(isinstance(g, Knows) for g in parts)
+    reads_re = bool(announced) or any(isinstance(g, Proves) for g in parts)
     pvars = sorted(prop_vars(f))
     default = EVERYTHING if bounds.evidence_mode == "everything" else frozenset()
     inspected = 0
@@ -204,7 +236,8 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
         inspected += k
         if inspected > bounds.budget:
             raise ResourceBoundExceeded(
-                f"counter-model search exceeded budget of {bounds.budget} candidates")
+                f"counter-model search exceeded budget of {bounds.budget} candidates"
+                f" (at {n} moment{'' if n == 1 else 's'})")
 
     for n in range(1, bounds.max_moments + 1):
         for parents in _parent_vectors(n):
@@ -230,7 +263,12 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
                             break
 
             joint_choices = _joint_choice_options(base)
-            rel_pairs = _relation_pairs(base)
+            if not reads_choice:
+                joint_choices = joint_choices[:1]
+            rel_pairs = {}
+            for r, re in _relation_pairs(base):
+                rel_pairs.setdefault((r if reads_r else None, re if reads_re else None),
+                                     (r, re))
             mh = [(m, h.name) for m in base.moments for h in base.histories_through(m)]
             class_key = {
                 (m, hname): (m, _class_of(base, m, hname)) for m, hname in mh
@@ -238,10 +276,10 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
             valuation_count = 1 << (len(pvars) * len(mh))
 
             for choice in joint_choices:
-                for r, re in rel_pairs:
+                for r, re in rel_pairs.values():
                     frame = JstitFrame(moments, edges, agents=bounds.agents,
                                        choice=choice, r=r, re=re)
-                    for act in _act_assignments(slots, parent_slot, polys):
+                    for act in _act_assignments(slots, parent_slot, announced):
                         act_map = {pair: act[class_key[pair]] for pair in mh}
                         # validation never reads the valuation, so one check
                         # per act settles all of its valuations at once

@@ -347,6 +347,17 @@ def test_search_bad_formula(capsys):
     assert main(["search", "--formula", "p ->"]) == 2
 
 
+@pytest.mark.parametrize("bounds,name", [
+    (["--max-moments", "0"], "max_moments"),
+    (["--max-histories", "0", "--max-moments", "2"], "max_histories"),
+    (["--budget", "-1"], "budget"),
+    (["--budget", "0"], "budget"),
+])
+def test_search_bounds_that_search_nothing_are_bad_input(capsys, bounds, name):
+    assert main(["search", "--formula", "p", *bounds]) == 2
+    assert f"{name} must be a positive integer" in capsys.readouterr().err
+
+
 def test_search_agent_bound_respects_global_flag(capsys):
     assert main(["--ag", "1", "search", "--formula", "[0] p -> p",
                  "--max-moments", "1"]) == 0

@@ -1,4 +1,6 @@
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -192,19 +194,27 @@ def test_search_budget_exhaustion():
 
 
 def test_search_budget_is_exact():
-    # x : p -> p holds; at two moments settling it takes exactly 40 candidates
+    # x : p -> p holds; at two moments the search settles it after exactly 10
+    # candidates: 2 valuations at one moment, then 4 for each of the two
+    # values of re (f reads no r, choice map or act), against the oracle's 40
     f = parse_formula("x : p -> p")
-    assert find_countermodel(f, SearchBounds(max_moments=2, budget=40)) is None
-    with pytest.raises(ResourceBoundExceeded, match="budget of 39 candidates"):
-        find_countermodel(f, SearchBounds(max_moments=2, budget=39))
+    assert find_countermodel(f, SearchBounds(max_moments=2, budget=10)) is None
+    with pytest.raises(ResourceBoundExceeded,
+                       match=r"budget of 9 candidates \(at 2 moments\)"):
+        find_countermodel(f, SearchBounds(max_moments=2, budget=9))
     assert naive_find_countermodel(f, SearchBounds(max_moments=2)) == (None, 40)
+
+
+def test_search_settles_a4_at_three_moments():
+    # an A4 instance that exhausted the default budget before the search
+    # skipped the parts of a model the formula cannot read
+    f = parse_formula("x : ([0] p -> p) -> y : [0] p -> x * y : p")
+    assert find_countermodel(f, SearchBounds(max_moments=3)) is None
 
 
 def _describe(outcome) -> tuple:
     if outcome is None:
         return ("none",)
-    if isinstance(outcome, ResourceBoundExceeded):
-        return ("bound", str(outcome))
     model, idx = outcome
     return ("model", canonical_json(dump_model(model)), idx)
 
@@ -216,9 +226,38 @@ def _search(f, bounds):
         return e
 
 
+# Formulas whose first counter-model is decided by one part of a model the
+# search enumerates only when the formula reads it, and the agent count each
+# is searched with: r under K, the choice map under [j], re under a proof
+# assertion, the whiteboard under E with the unannounced x and y in the
+# universe, and one formula reading all four.
+READ_PARTS = (
+    ("~K p -> K ~K p", 1),
+    ("K p -> x : p", 1),
+    ("[0] p -> [1] p", 2),
+    ("~x : p -> x : ~x : p", 1),
+    ("~E (x * y)", 1),
+    ("E x -> ([0] p -> [1] p) | (~K p -> K ~K p) | ~x : ~x : p", 2),
+)
+
+
+def _agrees_with_oracle(f, bounds) -> str:
+    """The search's outcome kind, after checking it against the oracle: an
+    answer must be the unbounded oracle's, and a bound hit must also be one
+    for the oracle at the same budget."""
+    got = _search(f, bounds)
+    if isinstance(got, ResourceBoundExceeded):
+        want, _ = naive_find_countermodel(f, bounds)
+        assert isinstance(want, ResourceBoundExceeded), (render(f), bounds)
+        return "bound"
+    want, _ = naive_find_countermodel(f, replace(bounds, budget=sys.maxsize))
+    assert _describe(got) == _describe(want), (render(f), bounds)
+    return _describe(got)[0]
+
+
 def test_search_agrees_with_per_candidate_oracle():
-    # validating once per act and skipping the valuations of a rejected act
-    # must keep every verdict, first counter-model and bound hit
+    # the search skips what f cannot read and validates once per act; the
+    # oracle builds and validates every candidate of the full enumeration
     polys = (ProofVar("x"), ProofVar("y"))
 
     def filler(rng, agents):
@@ -237,10 +276,14 @@ def test_search_agrees_with_per_candidate_oracle():
             for moments in (2, 3):
                 bounds = SearchBounds(max_moments=moments, evidence_mode=mode, agents=1,
                                       budget=rng.randrange(20, 250))
-                got = _describe(_search(f, bounds))
-                assert got == _describe(naive_find_countermodel(f, bounds)[0]), (render(f), bounds)
-                kinds.add(got[0])
+                kinds.add(_agrees_with_oracle(f, bounds))
     assert kinds == {"model", "none", "bound"}
+    for text, agents in READ_PARTS:
+        for mode in ("everything", "empty"):
+            for moments in (2, 3):
+                bounds = SearchBounds(max_moments=moments, evidence_mode=mode,
+                                      agents=agents)
+                assert _agrees_with_oracle(parse_formula(text), bounds) != "bound"
 
 
 def test_relation_pairs_agree_with_naive_preorders():
