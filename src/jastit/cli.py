@@ -28,7 +28,7 @@ from typing import Optional
 
 from .calculus import check_cs, verify_proof
 from .countermodels import (
-    MixsuccWitness, RegWitness, build_jstit_countermodel,
+    MixsuccWitness, RegWitness, WitnessError, build_jstit_countermodel,
     build_stit_countermodel, build_temporal_countermodel,
     complete_mixsucc_witness,
 )
@@ -48,13 +48,18 @@ EXIT_INPUT = 2
 EXIT_BOUND = 3
 EXIT_INTERNAL = 4
 
-_INPUT_ERRORS = (DocumentError, ParseError, OutOfUniverseError,
-                 json.JSONDecodeError, OSError, ValueError, KeyError)
+# only the package's own input errors: any other exception is a fault in
+# jastit and exits 4
+_INPUT_ERRORS = (DocumentError, ParseError, OutOfUniverseError, WitnessError,
+                 json.JSONDecodeError, OSError)
 
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as e:
+            raise DocumentError(f"{path} is not UTF-8 text: {e}") from e
 
 
 def _agents_default(args: argparse.Namespace) -> int:

@@ -1,4 +1,5 @@
-"""Diagnostic records shared by the frame and model validators."""
+"""Diagnostic records shared by the frame and model validators, and the
+errors that report bad input or an exhausted bound."""
 
 from __future__ import annotations
 
@@ -26,6 +27,11 @@ def violations(diags) -> list[Diagnostic]:
 
 def warnings(diags) -> list[Diagnostic]:
     return [d for d in diags if d.severity == WARNING]
+
+
+class DocumentError(ValueError):
+    """Input does not fit what it is used for: a document's shape, a
+    formula's agents, a search bound, an evaluation index; message says where."""
 
 
 class ResourceBoundExceeded(Exception):

@@ -49,6 +49,7 @@ from .calculus import (
 from .countermodels import (
     MixsuccWitness, RegWitness, TARGET_FORMULA, dense_pairs_supporting,
 )
+from .diagnostics import DocumentError
 from .frames import JstitFrame, TemporalFrame
 from .models import (
     ConstantSpecification, EVERYTHING, JstitModel, Universe, cs_entry_key,
@@ -67,10 +68,6 @@ __all__ = [
 ]
 
 
-class DocumentError(ValueError):
-    """A document does not fit the expected shape; message says where."""
-
-
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
@@ -87,6 +84,13 @@ def _need(doc: dict, key: str, where: str) -> Any:
     if key not in doc:
         raise DocumentError(f"{where} is missing the {key!r} key")
     return doc[key]
+
+
+def _str_field(doc: dict, key: str, where: str) -> str:
+    value = _need(doc, key, where)
+    if not isinstance(value, str):
+        raise DocumentError(f"{where}.{key} must be a string")
+    return value
 
 
 def _str_list(x: Any, where: str) -> list[str]:
@@ -157,11 +161,15 @@ def _frame_from(doc: dict, default_agents: int, where: str) -> JstitFrame:
         raw = doc["choice"]
         if not isinstance(raw, dict):
             raise DocumentError(f"{where}.choice must be an object")
-        base = TemporalFrame(moments, order, dense)
+        try:
+            base = TemporalFrame(moments, order, dense)
+        except ValueError as e:
+            raise DocumentError(f"{where}: {e}") from e
         choice = {}
         for key, cells in raw.items():
             m, sep, jtext = key.rpartition(",")
-            if not sep or not jtext.lstrip("-").isdigit():
+            digits = jtext.removeprefix("-")
+            if not sep or not (digits.isascii() and digits.isdigit()):
                 raise DocumentError(
                     f"{where}.choice key {key!r} is not of the form \"moment,agent\"")
             if m not in base.moments:
@@ -457,14 +465,12 @@ def load_witness(doc: Any) -> Union[MixsuccWitness, RegWitness]:
     kind = _need(doc, "kind", "witness")
     if kind == "mixsucc":
         _check_keys(doc, frozenset({"kind", "m0", "m1", "h0", "h1"}), "witness")
-        return MixsuccWitness(
-            _need(doc, "m0", "witness"), _need(doc, "m1", "witness"),
-            _need(doc, "h0", "witness"), _need(doc, "h1", "witness"))
+        return MixsuccWitness(*(_str_field(doc, k, "witness")
+                                for k in ("m0", "m1", "h0", "h1")))
     if kind == "reg":
         _check_keys(doc, frozenset({"kind", "m0", "m1", "h_prime", "s"}), "witness")
         return RegWitness(
-            _need(doc, "m0", "witness"), _need(doc, "m1", "witness"),
-            _need(doc, "h_prime", "witness"),
+            *(_str_field(doc, k, "witness") for k in ("m0", "m1", "h_prime")),
             frozenset(_str_list(_need(doc, "s", "witness"), "witness.s")))
     raise DocumentError(f"witness kind {kind!r} is neither mixsucc nor reg")
 

@@ -287,6 +287,7 @@ class JstitFrame(StitFrame):
 
         self.r = prep(r, self.leq)
         self.re = prep(re, self.r)
+        self._theta_system: Optional[tuple[frozenset[str], ...]] = None
         self._theta_cache: dict[str, tuple[frozenset[str], ...]] = {}
 
     def _key(self) -> tuple:
@@ -414,16 +415,31 @@ def is_mixsucc(frame: Frame) -> tuple[bool, Optional[tuple[str, str]]]:
 
 
 # the most members a theta family may have: all 2^15 subsets of the other
-# moments of a 16-moment frame
+# moments of a 16-moment frame; theta counts it per moment, the preorder
+# enumeration over the whole family
 _MAX_FAMILY = 1 << 15
 
 
-def _closed_sets(start: frozenset, items: Sequence, close, keep) -> set[frozenset]:
+def _closed_sets(start: frozenset, items: Sequence, close, keep,
+                 tally=lambda s: (None,)) -> set[frozenset]:
     """Every set close(start | X), for X a subset of items, that keep accepts.
-    Pruning is sound when keep rejects every superset of a set it rejects."""
+    Pruning is sound when keep rejects every superset of a set it rejects.
+
+    Each member counts once under every key tally gives it, by default one
+    key for all; a key counted more than _MAX_FAMILY times raises
+    ResourceBoundExceeded."""
     first = close(start)
     if not keep(first):
         return set()
+    counts: dict = {}
+
+    def count(t: frozenset) -> None:
+        for k in tally(t):
+            counts[k] = counts.get(k, 0) + 1
+            if counts[k] > _MAX_FAMILY:
+                raise ResourceBoundExceeded(f"set family exceeds {_MAX_FAMILY} members")
+
+    count(first)
     seen, stack = {first}, [first]
     while stack:
         s = stack.pop()
@@ -432,28 +448,15 @@ def _closed_sets(start: frozenset, items: Sequence, close, keep) -> set[frozense
                 continue
             t = close(s | {x})
             if t not in seen and keep(t):
-                if len(seen) == _MAX_FAMILY:
-                    raise ResourceBoundExceeded(f"set family exceeds {_MAX_FAMILY} members")
+                count(t)
                 seen.add(t)
                 stack.append(t)
     return seen
 
 
-def theta(frame: JstitFrame, m: str) -> tuple[frozenset[str], ...]:
-    """The family Theta_m of candidate support sets containing m.
-
-    S belongs iff: m in S; every member of S has a strict predecessor; S is
-    closed forward under re; and any moment all of whose histories hit a next
-    successor inside S is itself in S. The last two are Horn rules, so the
-    members are the closed sets above {m} that hold no minimal moment. At
-    most 2^15 members, all a 16-moment frame can have, are enumerated; a
-    larger family raises ResourceBoundExceeded.
-    """
-    if m not in frame.moments:
-        raise ValueError(f"unknown moment {m!r}")
-    cached = frame._theta_cache.get(m)
-    if cached is not None:
-        return cached
+def _theta_system(frame: JstitFrame) -> tuple[frozenset[str], ...]:
+    """Every closed set of the frame that holds no minimal moment, sorted by
+    size and then by sorted members; Theta_m is the members holding m."""
     re_succ = {w: {b for a, b in frame.re if a == w} for w in frame.moments}
     # m1 is pulled in once S holds the next successor of m1 on each history
     # through it; a chain has at most one, and a history with none never fires
@@ -474,9 +477,32 @@ def theta(frame: JstitFrame, m: str) -> tuple[frozenset[str], ...]:
     # members, and any unannotated finite moment has an immediate predecessor,
     # so the condition can only fail at order-minimal members
     minimal = frozenset(frame.minimal_moments())
-    found = _closed_sets(frozenset([m]), [w for w in frame.moments if w not in minimal],
-                         close, lambda s: not s & minimal)
-    result = tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
+    found = _closed_sets(frozenset(), [w for w in frame.moments if w not in minimal],
+                         close, lambda s: not s & minimal, tally=lambda s: s)
+    return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def theta(frame: JstitFrame, m: str) -> tuple[frozenset[str], ...]:
+    """The family Theta_m of candidate support sets containing m.
+
+    S belongs iff: m in S; every member of S has a strict predecessor; S is
+    closed forward under re; and any moment all of whose histories hit a next
+    successor inside S is itself in S. The last two are Horn rules, so the
+    members are the closed sets holding m and no minimal moment. Every
+    Theta_m is a slice of one family, the frame's closed sets holding no
+    minimal moment; the first call enumerates that family once and caches
+    it on the frame. Each Theta_m may have at most 2^15 members, all a
+    16-moment frame can give; the enumeration raises ResourceBoundExceeded
+    as soon as any moment's family passes that, whichever m was asked.
+    """
+    if m not in frame.moments:
+        raise ValueError(f"unknown moment {m!r}")
+    cached = frame._theta_cache.get(m)
+    if cached is not None:
+        return cached
+    if frame._theta_system is None:
+        frame._theta_system = _theta_system(frame)
+    result = tuple(s for s in frame._theta_system if m in s)
     frame._theta_cache[m] = result
     return result
 

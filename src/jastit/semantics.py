@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .diagnostics import ResourceBoundExceeded, violations
+from .diagnostics import DocumentError, ResourceBoundExceeded, violations
 from .frames import JstitFrame, _closed_sets, _closure
 from .models import (
     EVERYTHING, JstitModel, Universe, ev_contains, validate_model,
@@ -95,13 +95,13 @@ def satisfies(model: JstitModel, at: Union[Index, tuple[str, str]], f: Formula) 
     model.ensure_in_universe(f)
     check_agents(f, model.frame.agents)
     if at.moment not in model.frame.moments:
-        raise ValueError(f"unknown moment {at.moment!r}")
+        raise DocumentError(f"unknown moment {at.moment!r}")
     try:
         h = model.frame.history(at.history)
     except KeyError:
-        raise ValueError(f"unknown history {at.history!r}") from None
+        raise DocumentError(f"unknown history {at.history!r}") from None
     if at.moment not in h:
-        raise ValueError(f"history {at.history!r} does not pass through {at.moment!r}")
+        raise DocumentError(f"history {at.history!r} does not pass through {at.moment!r}")
     return _Evaluator(model).sat(at.moment, at.history, f)
 
 
@@ -135,7 +135,8 @@ class SearchBounds:
     being built. Candidates skipped because f cannot tell them from an
     earlier one are not counted.
 
-    max_moments, max_histories and budget must be positive integers.
+    max_moments, max_histories, agents and budget must be positive integers,
+    and evidence_mode "everything" or "empty".
     """
 
     max_moments: int = 3
@@ -145,10 +146,12 @@ class SearchBounds:
     budget: int = 200_000
 
     def __post_init__(self) -> None:
-        for name in ("max_moments", "max_histories", "budget"):
+        for name in ("max_moments", "max_histories", "agents", "budget"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise DocumentError(f"{name} must be a positive integer, got {value!r}")
+        if self.evidence_mode not in ("everything", "empty"):
+            raise DocumentError(f"unknown evidence_mode {self.evidence_mode!r}")
 
 
 def _parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
@@ -217,8 +220,6 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     before it, so the first counter-model is the one a full enumeration
     finds.
     """
-    if bounds.evidence_mode not in ("everything", "empty"):
-        raise ValueError(f"unknown evidence_mode {bounds.evidence_mode!r}")
     check_agents(f, bounds.agents)
     universe = Universe.close(formulas=[f])
     parts = subformulas(f)

@@ -33,6 +33,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar, Union
 
+from .diagnostics import DocumentError
+
 __all__ = [
     "Agent",
     "ProofVar", "ProofConst", "Sum", "App", "Check", "Polynomial",
@@ -302,10 +304,10 @@ def agents_in(f: Formula) -> frozenset[int]:
 
 
 def check_agents(f: Formula, agent_count: int) -> None:
-    """Raise ValueError if f mentions an agent index outside range(agent_count)."""
+    """Raise DocumentError if f mentions an agent index outside range(agent_count)."""
     bad = sorted(j for j in agents_in(f) if j >= agent_count)
     if bad:
-        raise ValueError(
+        raise DocumentError(
             f"agent index {bad[0]} out of range for {agent_count} agents"
         )
 

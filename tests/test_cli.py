@@ -1,6 +1,10 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jastit import cli
 from jastit.calculus import Axiom, BoxNec, Proof, RD
@@ -358,6 +362,11 @@ def test_search_bounds_that_search_nothing_are_bad_input(capsys, bounds, name):
     assert f"{name} must be a positive integer" in capsys.readouterr().err
 
 
+def test_search_without_agents_is_bad_input(capsys):
+    assert main(["--ag", "0", "search", "--formula", "p"]) == 2
+    assert "agents must be a positive integer" in capsys.readouterr().err
+
+
 def test_search_agent_bound_respects_global_flag(capsys):
     assert main(["--ag", "1", "search", "--formula", "[0] p -> p",
                  "--max-moments", "1"]) == 0
@@ -396,3 +405,107 @@ def test_internal_error_is_not_a_failure(capsys, monkeypatch):
     assert main(["parse", "p"]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: TypeError: unsupported operand\n"
+
+
+def test_internal_key_error_is_not_bad_input(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("h7")
+
+    monkeypatch.setattr(cli, "_cmd_parse", broken)
+    assert main(["parse", "p"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'h7'\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated documents never crash the command line
+
+_WORDS = ("r", "m0", "c", "cc", "h0", "h1", "h9", "", "m0,0", "m0,-1", "r/h0",
+          "*", "x", "E y", "K p", "[1] p", "x : p", "p ->", "A7", "mp")
+
+
+def _nested(inner):
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=3))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.sampled_from(_WORDS),
+    _nested, max_leaves=6)
+
+
+def _choice_frame_doc():
+    doc = dump_frame(golden_frame())
+    doc["choice"] = {"m0,0": [[0], [1]]}
+    return doc
+
+
+_SEEDS = {
+    "frame": (dump_frame(golden_frame()), _choice_frame_doc()),
+    "model": (golden_model_doc(),),
+    "proof": (target_proof_doc(),),
+}
+
+
+@st.composite
+def _mutated(draw, kind):
+    """A seed document of the kind with one to three nodes replaced, deleted
+    or given an extra key."""
+    doc = copy.deepcopy(draw(st.sampled_from(_SEEDS[kind])))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and draw(st.booleans()):
+                node = child
+                continue
+            action = draw(st.sampled_from(("replace", "delete", "add")))
+            if action == "replace":
+                node[key] = draw(_JSON)
+            elif action == "delete":
+                del node[key]
+            elif isinstance(node, dict):
+                node[draw(st.sampled_from(_WORDS))] = draw(_JSON)
+            else:
+                node.append(draw(_JSON))
+            break
+    return doc
+
+
+_COMMANDS = {
+    "frame": (["check-frame"], ["classify"], ["countermodel"],
+              ["countermodel", "--kind", "stit"]),
+    "model": (["check-model"],
+              ["eval", "--at", "m0,h0", "--formula", "E y"],
+              ["eval", "--at", "c,h1", "--formula", "K [1] p"],
+              ["eval", "--at", "zz,h0", "--formula", "E x"]),
+    "proof": (["verify-proof"], ["verify-proof", "--strict-tautologies"]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("kind", sorted(_SEEDS))
+def test_mutated_documents_never_crash(fuzz_dir, kind):
+    path = str(fuzz_dir / f"{kind}.json")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mutated(kind))
+    def run(doc):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in _COMMANDS[kind]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, path])
+            assert code in range(5), (command, doc, code)
+            assert "Traceback" not in err.getvalue(), (command, doc)
+
+    run()

@@ -212,6 +212,35 @@ def test_theta_family_bound():
         theta(JstitFrame(["r"] + leaves, star, 1, dense=star), leaves[0])
 
 
+def test_theta_family_bound_is_per_moment():
+    # 16 dense covers: every set of leaves is closed, 2^16 sets in all, and
+    # each leaf lies in exactly 2^15 of them, which the bound still admits
+    leaves = [f"l{i:02d}" for i in range(16)]
+    star = [("r", leaf) for leaf in leaves]
+    f = JstitFrame(["r"] + leaves, star, 1, dense=star)
+    families = {m: theta(f, m) for m in f.moments}
+    assert families["r"] == ()
+    assert {len(families[leaf]) for leaf in leaves} == {1 << 15}
+    members = set().union(*families.values())
+    assert len(members) == (1 << 16) - 1  # all but the empty set
+
+
+def _assert_slices_keep_order(fresh, moments):
+    """theta at each given moment is sorted by (size, sorted members) with no
+    duplicates, and is the same asked first on a fresh frame as asked after
+    theta at every other moment. is_regular's witness and the classify
+    output depend on this order."""
+    for m in moments:
+        first = theta(fresh(), m)
+        f = fresh()
+        for w in f.moments:
+            if w != m:
+                theta(f, w)
+        assert theta(f, m) == first, (f, m)
+        keys = [(len(s), tuple(sorted(s))) for s in first]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (f, m)
+
+
 def test_every_theta_member_has_a_predecessor():
     rng = random.Random(5)
     for _ in range(30):
@@ -262,7 +291,8 @@ def test_theta_above_sixteen_moments():
     for n in (17, 18, 19, 20):
         f = random_jstit_frame(rng, n, dense_p=0.5)
         holds = _raw_theta_conditions(f)
-        for m in rng.sample(f.moments, 3):
+        sampled = rng.sample(f.moments, 3)
+        for m in sampled:
             family = theta(f, m)
             members = set(family)
             assert len(members) == len(family)
@@ -270,6 +300,7 @@ def test_theta_above_sixteen_moments():
                 assert holds(m, s), (m, sorted(s))
                 t = rng.choice(family)
                 assert s & t in members, (m, sorted(s), sorted(t))
+        _assert_slices_keep_order(lambda: f.with_relations(f.r, f.re), sampled[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +348,11 @@ def test_classifiers_agree_with_oracles_exhaustively():
         assert got == naive_regular(f), f
         count += 1
     assert count > 150
+
+
+def test_theta_slices_keep_order_on_the_corpus():
+    for f in _exhaustive_corpus():
+        _assert_slices_keep_order(lambda: f.with_relations(f.r, f.re), f.moments)
 
 
 def test_classifiers_agree_on_extended_relations():
