@@ -141,7 +141,7 @@ def _unify(pattern, term, env: dict) -> bool:
     kind = type(pattern)
     if kind is PropVar or kind is ProofVar:
         bound = env.setdefault(pattern.name, term)
-        return bound is term or bound == term
+        return bound is term  # terms are hash-consed
     if kind is not type(term):
         return False
     if kind is Not or kind is Box or kind is Knows or kind is Check:

@@ -22,6 +22,7 @@ history ids are canonical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -32,7 +33,7 @@ from .countermodels import (
     build_stit_countermodel, build_temporal_countermodel,
     complete_mixsucc_witness,
 )
-from .diagnostics import ResourceBoundExceeded, VIOLATION
+from .diagnostics import ResourceBoundExceeded, VIOLATION, violations
 from .documents import (
     DocumentError, ast_dump, canonical_json, countermodel_document,
     dump_model, load_cs, load_frame, load_model, load_proof, load_witness,
@@ -66,6 +67,18 @@ def _agents_default(args: argparse.Namespace) -> int:
     return args.ag if args.ag is not None else 2
 
 
+def _load_valid_frame(doc, args: argparse.Namespace):
+    """The document's frame; a DocumentError naming its violations when
+    validate_frame reports any, since the classifiers and builders assume
+    a well-formed frame."""
+    frame = load_frame(doc, default_agents=_agents_default(args))
+    bad = violations(validate_frame(frame))
+    if bad:
+        raise DocumentError("frame violates its invariants:\n  "
+                            + "\n  ".join(map(str, bad)))
+    return frame
+
+
 def _print_diagnostics(diags) -> int:
     """Print diagnostics and return the number of violations."""
     for d in diags:
@@ -93,7 +106,7 @@ def _cmd_check_frame(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    frame = load_frame(_read_json(args.file), default_agents=_agents_default(args))
+    frame = _load_valid_frame(_read_json(args.file), args)
     mix_ok, mix_wit = is_mixsucc(frame)
     reg_ok, reg_wit = is_regular(frame)
     report = {
@@ -140,7 +153,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_countermodel(args: argparse.Namespace) -> int:
     doc = _read_json(args.file)
-    frame = load_frame(doc, default_agents=_agents_default(args))
+    frame = _load_valid_frame(doc, args)
     kind = args.kind
     if kind == "auto":
         kind = "jstit" if ("r" in doc or "re" in doc) else "stit"
@@ -217,7 +230,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     top = argparse.ArgumentParser(
         prog="jastit",
         description="Finite-structure toolkit for the stit logic of "
@@ -229,27 +244,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="print the core constructor tree")
     p.add_argument("formula")
-    p.set_defaults(handler=_cmd_parse)
 
     p = sub.add_parser("check-frame", help="frame constraint diagnostics")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_check_frame)
 
     p = sub.add_parser("classify", help="frame condition report")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("check-model", help="model constraint diagnostics")
     p.add_argument("file")
     p.add_argument("--cs", metavar="FILE",
                    help="constant specification entries to check normality against")
-    p.set_defaults(handler=_cmd_check_model)
 
     p = sub.add_parser("eval", help="evaluate a formula at a moment-history pair")
     p.add_argument("file")
     p.add_argument("--at", required=True, metavar="m,h")
     p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("countermodel",
                        help="build the falsifying model for a frame witness")
@@ -258,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="witness object; derived from the classifiers when omitted")
     p.add_argument("--kind", choices=("auto", "stit", "temporal", "jstit"),
                    default="auto")
-    p.set_defaults(handler=_cmd_countermodel)
 
     p = sub.add_parser("verify-proof", help="check a Hilbert proof line by line")
     p.add_argument("file")
@@ -267,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "ten-scheme basis instead of the tautology oracle")
     p.add_argument("--allow-modal-necessitation", action="store_true",
                    help="accept boxnec/cstitnec lines (not rules of the system)")
-    p.set_defaults(handler=_cmd_verify_proof)
 
     p = sub.add_parser("search", help="bounded counter-model search")
     p.add_argument("--formula", required=True)
@@ -276,16 +284,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evidence-mode", choices=("everything", "empty"),
                    default="everything")
     p.add_argument("--budget", type=int, default=200_000, metavar="N")
-    p.set_defaults(handler=_cmd_search)
 
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up on each call, not bound into the cached parser
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         if 0 <= e.pos <= len(e.text):

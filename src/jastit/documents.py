@@ -49,7 +49,7 @@ from .calculus import (
 from .countermodels import (
     MixsuccWitness, RegWitness, TARGET_FORMULA, dense_pairs_supporting,
 )
-from .diagnostics import DocumentError
+from .diagnostics import DocumentError, ResourceBoundExceeded
 from .frames import JstitFrame, TemporalFrame
 from .models import (
     ConstantSpecification, EVERYTHING, JstitModel, Universe, cs_entry_key,
@@ -501,11 +501,41 @@ def countermodel_document(model: JstitModel, index: Index,
 
 _AST_TYPES = get_args(Formula) + get_args(Polynomial)
 
+# The most constructor nodes ast_dump prints. Shared subterms are printed in
+# full at each occurrence, so the tree of a term within MAX_DEPTH can be
+# exponentially larger than the term: a chain of <-> doubles per link.
+AST_DUMP_MAX_NODES = 100_000
+
+
+def _tree_size(x: Union[Formula, Polynomial], memo: dict) -> int:
+    """Nodes of x's unfolded tree, each distinct (interned) subterm counted
+    once and its count reused wherever it is shared."""
+    n = memo.get(x)
+    if n is None:
+        n = memo[x] = 1 + sum(_tree_size(v, memo) for v in _field_values(x)
+                              if isinstance(v, _AST_TYPES))
+    return n
+
+
+def _field_values(x: Union[Formula, Polynomial]) -> list:
+    return [getattr(x, f.name) for f in fields(x)]
+
 
 def ast_dump(x: Union[Formula, Polynomial]) -> str:
-    """Compact constructor tree, e.g. Not(And(PropVar(p), PropVar(q)))."""
+    """Compact constructor tree, e.g. Not(And(PropVar(p), PropVar(q))).
+
+    Raises ResourceBoundExceeded when the tree has more than
+    AST_DUMP_MAX_NODES nodes."""
     if not isinstance(x, _AST_TYPES):
         raise TypeError(f"not a formula or polynomial: {x!r}")
-    args = (ast_dump(v) if isinstance(v, _AST_TYPES) else str(v)
-            for v in (getattr(x, f.name) for f in fields(x)))
+    size = _tree_size(x, {})
+    if size > AST_DUMP_MAX_NODES:
+        raise ResourceBoundExceeded(
+            f"constructor tree of {size} nodes exceeds the {AST_DUMP_MAX_NODES} "
+            "that ast_dump prints")
+    return _dump(x)
+
+
+def _dump(x: Union[Formula, Polynomial]) -> str:
+    args = (_dump(v) if isinstance(v, _AST_TYPES) else str(v) for v in _field_values(x))
     return f"{type(x).__name__}({', '.join(args)})"

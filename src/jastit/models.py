@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Optional, Union
 from .diagnostics import Diagnostic, VIOLATION, WARNING
 from .frames import History, JstitFrame
 from .syntax import (
-    App, Check, Formula, Polynomial, ProofConst, ProofVar, Proves, PropVar,
-    Sum, implies, render, render_polynomial, subformulas, subpolynomials,
+    And, App, Check, Formula, Not, Polynomial, ProofConst, ProofVar, Proves,
+    PropVar, Sum, render, render_polynomial, subformulas, subpolynomials,
 )
 
 __all__ = [
@@ -59,14 +59,15 @@ class Universe:
     @classmethod
     def close(cls, formulas: Iterable[Formula] = (), polynomials: Iterable[Polynomial] = (),
               prop_vars: Iterable[str] = ()) -> "Universe":
+        # each root's subterm tuples are cached on it, so this is linear in
+        # the distinct subterms however much the roots share
         fs: set = set()
+        ps: set = set()
         for f in formulas:
             fs.update(subformulas(f))
-        ps: set = set()
+            ps.update(subpolynomials(f))
         for t in polynomials:
             ps.update(subpolynomials(t))
-        for f in fs:
-            ps.update(subpolynomials(f))
         pvs = set(prop_vars) | {f.name for f in fs if isinstance(f, PropVar)}
         return cls(frozenset(ps), frozenset(fs), frozenset(pvs))
 
@@ -77,6 +78,16 @@ class Universe:
             polynomials=set(self.polynomials) | set(polynomials),
             prop_vars=self.prop_vars,
         )
+
+    @functools.cached_property
+    def inexpressible_composites(self) -> tuple[str, ...]:
+        """Rendered s * t, s + t and !t over the universe's polynomials that
+        fall outside it, so that evidence closure cannot be checked there;
+        sorted."""
+        ps = self.polynomials
+        comps = [App(s, t) for s in ps for t in ps] + [Sum(s, t) for s in ps for t in ps]
+        comps += [Check(t) for t in ps]
+        return tuple(sorted({render_polynomial(c) for c in comps if c not in ps}))
 
     def missing_from(self, f: Formula):
         """First subterm of f outside this universe, or None."""
@@ -311,6 +322,12 @@ def act_settled(model: JstitModel, m: str) -> frozenset:
 # ---------------------------------------------------------------------------
 # validation
 
+def _holds_implies(es: EvidenceSet, a: Formula, b: Formula) -> bool:
+    """implies(a, b) in es, without building the implication (a probe
+    with a missing part misses too)."""
+    return es is EVERYTHING or Not.find(And.find(a, Not.find(b))) in es
+
+
 def _sorted_polys(ts) -> list:
     return sorted(ts, key=render_polynomial)
 
@@ -354,33 +371,28 @@ def validate_model(model: JstitModel, cs: Optional[ConstantSpecification] = None
     # An absent composite falls back to the default evidence set; when that
     # default is Everything the closure conclusion holds vacuously, so only
     # a smaller default leaves composites genuinely unchecked.
-    skipped: set[str] = set()
+    skipped = (uni.inexpressible_composites
+               if model.evidence_default is not EVERYTHING else ())
     up = _sorted_polys(uni.polynomials)
     # only closure checks on explicit composite evidence read the formulas,
     # and rendering them all for the sort is the costly part of a call
     uf = functools.cache(lambda: _sorted_formulas(uni.formulas))
-    if model.evidence_default is not EVERYTHING:
-        for s, t in itertools.product(up, up):
-            for comp in (App(s, t), Sum(s, t)):
-                if comp not in uni.polynomials:
-                    skipped.add(render_polynomial(comp))
-        for t in up:
-            if Check(t) not in uni.polynomials:
-                skipped.add(render_polynomial(Check(t)))
 
+    # the composites are probed, not built: a term that is not live is in
+    # no universe and no evidence set
     for m in frame.moments:
         for s, t in itertools.product(up, up):
-            comp = App(s, t)
+            comp = App.find(s, t)
             if comp in uni.polynomials and model.evidence_at(m, comp) is not EVERYTHING:
                 es, et, ec = model.evidence_at(m, s), model.evidence_at(m, t), model.evidence_at(m, comp)
                 for b in uf():
                     if b in ec:
                         continue
-                    if any(implies(a, b) in es and a in et for a in uf()):
+                    if any(a in et and _holds_implies(es, a, b) for a in uf()):
                         bad("evidence-closure-app",
                             f"{render(b)} derivable at {m} but missing from evidence for {render_polynomial(comp)}",
                             (m, render_polynomial(comp), render(b)))
-            comp = Sum(s, t)
+            comp = Sum.find(s, t)
             if comp in uni.polynomials and model.evidence_at(m, comp) is not EVERYTHING:
                 ec = model.evidence_at(m, comp)
                 for a in uf():
@@ -389,19 +401,18 @@ def validate_model(model: JstitModel, cs: Optional[ConstantSpecification] = None
                             f"{render(a)} in a summand's evidence at {m} but not in evidence for {render_polynomial(comp)}",
                             (m, render_polynomial(comp), render(a)))
         for t in up:
-            comp = Check(t)
+            comp = Check.find(t)
             if comp in uni.polynomials and model.evidence_at(m, comp) is not EVERYTHING:
                 ec = model.evidence_at(m, comp)
                 for a in uf():
-                    if a in model.evidence_at(m, t) and Proves(t, a) not in ec:
+                    if a in model.evidence_at(m, t) and Proves.find(t, a) not in ec:
                         bad("evidence-closure-check",
                             f"{render_polynomial(t)} : {render(a)} missing from evidence for {render_polynomial(comp)} at {m}",
                             (m, render_polynomial(comp), render(a)))
     if skipped:
         note("evidence-closure-skipped",
              "closure not checked for composites outside the universe: "
-             + ", ".join(sorted(skipped)),
-             tuple(sorted(skipped)))
+             + ", ".join(skipped), skipped)
 
     # expansion of presented proofs along the order
     for m2 in frame.moments:

@@ -35,50 +35,49 @@ def _as_index(at: Union[Index, tuple[str, str]]) -> Index:
 
 
 class _Evaluator:
-    """Recursive evaluator with a (moment, formula) cache for the
-    history-independent connectives Box, K, and the proof assertion."""
+    """Recursive evaluator. And and [j] are cached per (moment, history,
+    formula), and the history-independent Box, K and proof assertion per
+    (moment, formula), so a subformula that f shares (as <-> shares its
+    operands) is evaluated once per index, not once per path to it."""
 
     def __init__(self, model: JstitModel):
         self.model = model
         self.frame = model.frame
-        self.memo: dict[tuple[str, Formula], bool] = {}
+        self.memo: dict[tuple, bool] = {}
 
     def sat(self, m: str, h: str, f: Formula) -> bool:
         match f:
             case PropVar(name):
                 return (m, h) in self.model.val_at(name)
-            case And(a, b):
-                return self.sat(m, h, a) and self.sat(m, h, b)
             case Not(a):
                 return not self.sat(m, h, a)
+            case Announced(t):
+                return t in self.model.act_at(m, h)
+            case And() | Cstit():
+                key = (m, h, f)
+            case Box() | Knows() | Proves():
+                key = (m, f)
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self._sat_cached(m, h, f)
+        return hit
+
+    def _sat_cached(self, m: str, h: str, f: Formula) -> bool:
+        match f:
+            case And(a, b):
+                return self.sat(m, h, a) and self.sat(m, h, b)
             case Cstit(j, a):
                 cell = self.frame.choice_cell(m, j, h)
                 return all(self.sat(m, g, a) for g in cell)
             case Box(a):
-                key = (m, f)
-                hit = self.memo.get(key)
-                if hit is None:
-                    hit = all(self.sat(m, g.name, a) for g in self.frame.histories_through(m))
-                    self.memo[key] = hit
-                return hit
+                return all(self.sat(m, g.name, a) for g in self.frame.histories_through(m))
             case Knows(a):
-                key = (m, f)
-                hit = self.memo.get(key)
-                if hit is None:
-                    hit = self._everywhere_reachable(self.frame.r, m, a)
-                    self.memo[key] = hit
-                return hit
+                return self._everywhere_reachable(self.frame.r, m, a)
             case Proves(t, a):
-                key = (m, f)
-                hit = self.memo.get(key)
-                if hit is None:
-                    hit = ev_contains(self.model.evidence_at(m, t), a) and \
-                        self._everywhere_reachable(self.frame.re, m, a)
-                    self.memo[key] = hit
-                return hit
-            case Announced(t):
-                return t in self.model.act_at(m, h)
-        raise TypeError(f"not a formula: {f!r}")
+                return ev_contains(self.model.evidence_at(m, t), a) and \
+                    self._everywhere_reachable(self.frame.re, m, a)
 
     def _everywhere_reachable(self, rel, m: str, a: Formula) -> bool:
         for m2 in self.frame.moments:

@@ -29,7 +29,9 @@ always sufficient and is what the renderer emits.
 
 from __future__ import annotations
 
+import functools
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar, Union
 
@@ -60,49 +62,121 @@ def _require_ident(name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# hash-consing
+#
+# Every node is interned (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006): each constructor class keeps a table from field
+# tuples to weak references to the live node with those fields, and a call
+# whose fields match a live node returns that node. Equal terms are therefore one object, so ==
+# is identity, and the hash is computed once, when the node is built. It is
+# hash(field tuple), the value a frozen dataclass gives, so the iteration
+# order of sets and dicts of terms is what it was before interning.
+
+
+class _Ref(weakref.ref):
+    """Weak reference to an interned node that remembers the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(table: dict, ref: _Ref) -> None:
+    """Weak-reference callback: drop a dead node's entry, unless a new node
+    has taken its key since."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+class _Interned(type):
+    """Metaclass of the term constructors: one live node per field tuple."""
+
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        cls._table = {}
+        cls._forget = functools.partial(_forget, cls._table)
+
+    def __call__(cls, *fields):
+        # fields are positional: they are the table key as written
+        cls._check(*fields)
+        ref = cls._table.get(fields)
+        node = None if ref is None else ref()
+        if node is None:
+            node = super().__call__(*fields)
+            object.__setattr__(node, "_hash", hash(fields))
+            ref = _Ref(node, cls._forget)
+            ref.key = fields
+            cls._table[fields] = ref
+        return node
+
+    def find(cls, *fields):
+        """The live node with these fields, or None. Builds nothing: a miss
+        means no term with these fields exists anywhere."""
+        ref = cls._table.get(fields)
+        return None if ref is None else ref()
+
+
+class _Term(metaclass=_Interned):
+    """Base of every formula and polynomial node."""
+
+    @staticmethod
+    def _check(*fields) -> None:
+        """Reject bad scalar fields; runs on every call, before the table
+        is consulted, because True == 1 would find a Cstit of agent 1."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling go through the constructor, so
+        # they return the interned node
+        return type(self), self._fields()
+
+
+# ---------------------------------------------------------------------------
 # proof polynomials
 
 
-@dataclass(frozen=True)
-class ProofVar:
+@dataclass(frozen=True, eq=False)
+class ProofVar(_Term):
     name: str
 
-    def __post_init__(self) -> None:
-        _require_ident(self.name)
-        if self.name[0] in "cd":
+    @staticmethod
+    def _check(name: str) -> None:
+        _require_ident(name)
+        if name[0] in "cd":
             raise ValueError(
-                f"{self.name!r} starts with 'c'/'d' and is reserved for proof constants"
-            )
+                f"{name!r} starts with 'c'/'d' and is reserved for proof constants")
 
 
-@dataclass(frozen=True)
-class ProofConst:
+@dataclass(frozen=True, eq=False)
+class ProofConst(_Term):
     name: str
 
-    def __post_init__(self) -> None:
-        _require_ident(self.name)
-        if self.name[0] not in "cd":
-            raise ValueError(
-                f"proof constants must start with 'c' or 'd', got {self.name!r}"
-            )
+    @staticmethod
+    def _check(name: str) -> None:
+        _require_ident(name)
+        if name[0] not in "cd":
+            raise ValueError(f"proof constants must start with 'c' or 'd', got {name!r}")
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False)
+class Sum(_Term):
     left: "Polynomial"
     right: "Polynomial"
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False)
+class App(_Term):
     """Application s * t: apply reasoning s to premise evidence t."""
 
     left: "Polynomial"
     right: "Polynomial"
 
 
-@dataclass(frozen=True)
-class Check:
+@dataclass(frozen=True, eq=False)
+class Check(_Term):
     """Positive proof checker !t."""
 
     arg: "Polynomial"
@@ -115,68 +189,65 @@ Polynomial = Union[ProofVar, ProofConst, Sum, App, Check]
 # formulas
 
 
-@dataclass(frozen=True)
-class PropVar:
+@dataclass(frozen=True, eq=False)
+class PropVar(_Term):
     name: str
 
-    def __post_init__(self) -> None:
-        _require_ident(self.name)
+    _check = staticmethod(_require_ident)
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Term):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Term):
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class Cstit:
+@dataclass(frozen=True, eq=False)
+class Cstit(_Term):
     """[j]A: agent j sees to it that A."""
 
     agent: Agent
     arg: "Formula"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.agent, int) or isinstance(self.agent, bool) or self.agent < 0:
-            raise ValueError(f"agent index must be a nonnegative int, got {self.agent!r}")
+    @staticmethod
+    def _check(agent: Agent, arg: "Formula") -> None:
+        if not isinstance(agent, int) or isinstance(agent, bool) or agent < 0:
+            raise ValueError(f"agent index must be a nonnegative int, got {agent!r}")
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, eq=False)
+class Box(_Term):
     """Historical necessity."""
 
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class Proves:
+@dataclass(frozen=True, eq=False)
+class Proves(_Term):
     """t : A, the proof assertion."""
 
     poly: Polynomial
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class Knows:
+@dataclass(frozen=True, eq=False)
+class Knows(_Term):
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class Announced:
+@dataclass(frozen=True, eq=False)
+class Announced(_Term):
     """E t: polynomial t has been presented to the community."""
 
     poly: Polynomial
 
 
 Formula = Union[PropVar, And, Not, Cstit, Box, Proves, Knows, Announced]
-
-_POLY_TYPES = (ProofVar, ProofConst, Sum, App, Check)
-
 
 # ---------------------------------------------------------------------------
 # sugar in, sugar out
@@ -251,48 +322,44 @@ def _formula_children(f: Formula) -> tuple[Formula, ...]:
             return ()
 
 
+def _merged(node: _Term, attr: str, parts) -> tuple:
+    """Cache on the node the distinct items of the part tuples, in order.
+    Each part is a child's cached tuple, so a term costs one merge per
+    distinct subterm, however often it is shared."""
+    out = tuple(dict.fromkeys(x for part in parts for x in part))
+    object.__setattr__(node, attr, out)
+    return out
+
+
 def subformulas(f: Formula) -> tuple[Formula, ...]:
     """All distinct subformulas of f in post order (children first, f last)."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        for child in _formula_children(g):
-            walk(child)
-        seen.add(g)
-        out.append(g)
-
-    walk(f)
-    return tuple(out)
+    cached = f.__dict__.get("_subformulas")
+    if cached is not None:
+        return cached
+    return _merged(f, "_subformulas",
+                   [*map(subformulas, _formula_children(f)), (f,)])
 
 
 def subpolynomials(x: Union[Formula, Polynomial]) -> tuple[Polynomial, ...]:
-    """All distinct polynomial subterms occurring in a formula or polynomial."""
-    seen: set[Polynomial] = set()
-    out: list[Polynomial] = []
-
-    def walk_poly(t: Polynomial) -> None:
-        if t in seen:
-            return
-        match t:
-            case Sum(a, b) | App(a, b):
-                walk_poly(a)
-                walk_poly(b)
-            case Check(a):
-                walk_poly(a)
-        seen.add(t)
-        out.append(t)
-
-    if isinstance(x, _POLY_TYPES):
-        walk_poly(x)
-    else:
-        for g in subformulas(x):
-            match g:
-                case Proves(t, _) | Announced(t):
-                    walk_poly(t)
-    return tuple(out)
+    """All distinct polynomial subterms occurring in a formula or polynomial,
+    in the order of a post-order walk over the subformulas."""
+    cached = x.__dict__.get("_subpolynomials")
+    if cached is not None:
+        return cached
+    match x:
+        case Sum(a, b) | App(a, b):
+            parts = [subpolynomials(a), subpolynomials(b), (x,)]
+        case Check(a):
+            parts = [subpolynomials(a), (x,)]
+        case ProofVar() | ProofConst():
+            parts = [(x,)]
+        case Proves(t, a):
+            parts = [subpolynomials(a), subpolynomials(t)]
+        case Announced(t):
+            parts = [subpolynomials(t)]
+        case _:
+            parts = map(subpolynomials, _formula_children(x))
+    return _merged(x, "_subpolynomials", parts)
 
 
 def prop_vars(f: Formula) -> frozenset[str]:
@@ -554,12 +621,11 @@ MAX_DEPTH = 200
 
 
 def _too_deep(x: Union[Formula, Polynomial]) -> bool:
-    # one level at a time, each shared node once per level: sugar such as
+    # one level at a time, each distinct node once per level: sugar such as
     # <-> shares subterms, so the unfolded tree can be exponentially larger
-    level = {id(x): x}
+    level = {x}
     for _ in range(MAX_DEPTH):
-        level = {id(c): c for node in level.values() for c in vars(node).values()
-                 if not isinstance(c, (str, int))}
+        level = {c for node in level for c in node._fields() if isinstance(c, _Term)}
         if not level:
             return False
     return True

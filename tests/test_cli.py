@@ -2,16 +2,18 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jastit import cli
+from jastit import cli, documents
 from jastit.calculus import Axiom, BoxNec, Proof, RD
 from jastit.cli import main
 from jastit.countermodels import RegWitness, build_jstit_countermodel
 from jastit.documents import canonical_json, dump_frame, dump_model, dump_proof
 from jastit.frames import JstitFrame, is_regular
+from jastit.models import Universe
 from jastit.syntax import parse_formula as pf
 
 
@@ -58,6 +60,21 @@ def test_parse_too_deep_is_bad_input(capsys):
     err = capsys.readouterr().err
     assert "nesting too deep" in err
     assert "Traceback" not in err
+
+
+def test_parse_caps_the_unfolded_tree(capsys, monkeypatch):
+    # <-> shares its operands, so each link doubles the printed tree
+    assert main(["parse", " <-> ".join(["p"] * 20)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource bound exceeded" in captured.err
+    assert main(["parse", "p <-> q <-> r"]) == 0
+    nodes = capsys.readouterr().out.count("(")  # one per constructor
+    monkeypatch.setattr(documents, "AST_DUMP_MAX_NODES", nodes)
+    assert main(["parse", "p <-> q <-> r"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(documents, "AST_DUMP_MAX_NODES", nodes - 1)
+    assert main(["parse", "p <-> q <-> r"]) == 3
 
 
 def test_parse_agent_check_only_when_requested(capsys):
@@ -199,6 +216,23 @@ def test_eval_out_of_universe(tmp_path, capsys):
     path = write(tmp_path, "m.json", golden_model_doc())
     assert main(["eval", "--at", "m0,h0", "--formula", "zz9", path]) == 2
     assert "universe" in capsys.readouterr().err
+
+
+def test_shared_chain_stays_linear(tmp_path, capsys):
+    # 20 links of <-> unfold to about 2^20 nodes; every step below must
+    # cost time linear in the distinct subterms, for either value of p
+    chain = " <-> ".join(["p"] * 20)
+    start = time.perf_counter()
+    assert len(Universe.close([pf(chain)]).formulas) < 6 * 20
+    for valuation in ([], [["m", "h0"]]):
+        path = write(tmp_path, "chain.json", {
+            "moments": ["m"], "agents": 1, "universe": {"formulas": [chain]},
+            "valuation": {"p": valuation}})
+        assert main(["eval", "--at", "m,h0", "--formula", chain, path]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["check-model", path]) == 0
+        assert capsys.readouterr().out == "0 violation(s), 0 warning(s)\n"
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +431,45 @@ def test_malformed_document_is_bad_input(tmp_path, capsys, command, doc, message
     assert "Traceback" not in err
 
 
+BACKWARD_BRANCHING = {"moments": ["a", "b", "c"], "order": [["a", "c"], ["b", "c"]],
+                      "agents": 1}
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"], ["countermodel"], ["countermodel", "--kind", "jstit"],
+    ["countermodel", "--kind", "stit"],
+])
+def test_invalid_frame_is_bad_input(tmp_path, capsys, command):
+    path = write(tmp_path, "f.json", BACKWARD_BRANCHING)
+    assert main([*command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("violation[backward-branching] a and b are incomparable below c"
+            in captured.err)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    path = write(tmp_path, "f.json", dump_frame(golden_frame()))
+    runs = [["classify", path], ["parse", "K p -> p"], ["parse", "p ->"],
+            ["countermodel", path], ["search", "--help"], ["nosuch"], ["--help"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # --help and argparse's own usage errors
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    parser = cli._build_parser()
+    assert [run(argv) for argv in runs + runs] == fresh + fresh
+    assert cli._build_parser() is parser
+
+
 def test_internal_error_is_not_a_failure(capsys, monkeypatch):
     def broken(args):
         raise TypeError("unsupported operand")
@@ -441,7 +514,11 @@ def _choice_frame_doc():
 
 
 _SEEDS = {
-    "frame": (dump_frame(golden_frame()), _choice_frame_doc()),
+    # valid frames, and frames that load but break a frame invariant
+    # (backward branching, a cycle) or name an unknown moment in "dense"
+    "frame": (dump_frame(golden_frame()), _choice_frame_doc(), BACKWARD_BRANCHING,
+              {"moments": ["a", "b"], "order": [["a", "b"], ["b", "a"]], "agents": 1},
+              {"moments": ["r", "m0"], "order": [["r", "m0"]], "dense": [["m0", "zz"]]}),
     "model": (golden_model_doc(),),
     "proof": (target_proof_doc(),),
 }

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +14,11 @@ from jastit.syntax import (
     Box,
     Check,
     Cstit,
+    Formula,
     Knows,
     Not,
     ParseError,
+    Polynomial,
     ProofConst,
     ProofVar,
     PropVar,
@@ -277,3 +282,73 @@ def test_sugar_views():
     assert as_dia(Box(P)) is None
     assert flatten_or(parse_formula("p | q | r")) == (P, Q, R)
     assert flatten_and(parse_formula("p & q & r")) == (P, Q, R)
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+
+# one text per constructor, whose parse has that constructor at the root
+CONSTRUCTOR_TEXTS = {
+    PropVar: "p", And: "p & q", Not: "~p", Cstit: "[1] p", Box: "Box p",
+    Proves: "x : p", Knows: "K p", Announced: "E x",
+    ProofVar: "x", ProofConst: "c1", Sum: "x + y", App: "x * y", Check: "!x",
+}
+
+
+def _parse_any(cls, text):
+    return parse_polynomial(text) if cls in get_args(Polynomial) else parse_formula(text)
+
+
+def test_every_constructor_is_covered():
+    assert set(CONSTRUCTOR_TEXTS) == set(get_args(Formula) + get_args(Polynomial))
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTOR_TEXTS, ids=lambda c: c.__name__)
+def test_equal_terms_are_one_object(cls):
+    text = CONSTRUCTOR_TEXTS[cls]
+    first = _parse_any(cls, text)
+    assert type(first) is cls
+    assert _parse_any(cls, f"({text})") is first
+    fields = tuple(getattr(first, n) for n in cls.__match_args__)
+    assert cls(*fields) is first
+    assert cls.find(*fields) is first
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTOR_TEXTS, ids=lambda c: c.__name__)
+def test_hash_is_the_field_tuple_hash(cls):
+    node = _parse_any(cls, CONSTRUCTOR_TEXTS[cls])
+    assert hash(node) == hash(tuple(getattr(node, n) for n in cls.__match_args__))
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTOR_TEXTS, ids=lambda c: c.__name__)
+def test_copies_and_pickles_return_the_interned_node(cls):
+    node = _parse_any(cls, CONSTRUCTOR_TEXTS[cls])
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_find_builds_nothing():
+    fresh = ProofVar("x_never_built_elsewhere")
+    assert App.find(fresh, fresh) is None
+    assert App.find(fresh, fresh) is None
+    built = App(fresh, fresh)
+    assert App.find(fresh, fresh) is built
+
+
+def test_validation_runs_before_the_table():
+    Cstit(1, P)
+    with pytest.raises(ValueError):
+        Cstit(True, P)
+    with pytest.raises(ValueError):
+        Cstit(1.0, P)
+
+
+def test_subterm_walks_are_shared_not_unfolded():
+    # n links of <-> unfold to about 2^n nodes but hold fewer than 6n
+    # distinct ones (asserted on counts: the repr of f unfolds it too)
+    f = parse_formula(" <-> ".join(["p"] * 40))
+    subs = subformulas(f)
+    count, last_is_f, cached = len(subs), subs[-1] is f, subformulas(f) is subs
+    assert count < 6 * 40
+    assert last_is_f and cached
