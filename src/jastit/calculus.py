@@ -359,6 +359,10 @@ class CstitNec:
     i: int
     agent: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.agent, int) or isinstance(self.agent, bool) or self.agent < 0:
+            raise ValueError(f"agent index must be a nonnegative int, got {self.agent!r}")
+
 
 Justification = Union[Axiom, MP, KNec, RD, RCS, BoxNec, CstitNec]
 
@@ -411,12 +415,14 @@ class ProofVerdict:
         return tuple(v for v in self.lines if not v.ok)
 
 
-def _premises(just: Justification) -> tuple[int, ...]:
-    if isinstance(just, MP):
-        return (just.i, just.j)
-    if isinstance(just, (KNec, RD, BoxNec, CstitNec)):
-        return (just.i,)
-    return ()
+# necessitation rules: the operator applied to the premise, its name in
+# messages, and whether the rule is modal (outside the system, so accepted
+# only behind the flag)
+_NECESSITATIONS = {
+    KNec: lambda just: (Knows, "K", False),
+    BoxNec: lambda just: (Box, "Box", True),
+    CstitNec: lambda just: (lambda f: Cstit(just.agent, f), f"[{just.agent}]", True),
+}
 
 
 def verify_proof(proof: Proof, cs: Optional[ConstantSpecification] = None,
@@ -434,82 +440,48 @@ def verify_proof(proof: Proof, cs: Optional[ConstantSpecification] = None,
     """
     if cs is None:
         cs = ConstantSpecification(frozenset())
-    verdicts: list[LineVerdict] = []
     formulas = [line.formula for line in proof.lines]
 
-    for idx, line in enumerate(proof.lines, start=1):
-        just = line.just
-        rule = type(just).__name__
-
-        def fail(message: str) -> LineVerdict:
-            return LineVerdict(idx, False, rule, message)
-
-        bad_ref = next((r for r in _premises(just)
-                        if not 1 <= r < idx), None)
+    def check(idx: int, formula: Formula, just: Justification
+              ) -> tuple[bool, str, Optional[str]]:
+        premises = (getattr(just, name) for name in ("i", "j") if hasattr(just, name))
+        bad_ref = next((r for r in premises if not 1 <= r < idx), None)
         if bad_ref is not None:
-            verdicts.append(fail(
-                f"premise reference {bad_ref} not strictly above line {idx}"))
-            continue
-
+            return False, f"premise reference {bad_ref} not strictly above line {idx}", None
         if isinstance(just, Axiom):
-            got = match_axiom(line.formula, tautology_mode=tautology_mode)
+            got = match_axiom(formula, tautology_mode=tautology_mode)
             if got is None:
-                verdicts.append(fail("no axiom scheme matches"))
-            elif just.scheme is not None and just.scheme != got.scheme:
-                verdicts.append(fail(
-                    f"matches {got.scheme}, not the declared {just.scheme}"))
-            else:
-                verdicts.append(LineVerdict(
-                    idx, True, rule, f"axiom {got.scheme}", got.scheme))
-        elif isinstance(just, MP):
-            want = implies(formulas[just.i - 1], line.formula)
-            if formulas[just.j - 1] == want:
-                verdicts.append(LineVerdict(
-                    idx, True, rule, f"modus ponens from {just.i} and {just.j}"))
-            else:
-                verdicts.append(fail(
-                    f"line {just.j} is not (line {just.i} -> line {idx})"))
-        elif isinstance(just, KNec):
-            if line.formula == Knows(formulas[just.i - 1]):
-                verdicts.append(LineVerdict(
-                    idx, True, rule, f"K-necessitation of {just.i}"))
-            else:
-                verdicts.append(fail(f"formula is not K applied to line {just.i}"))
-        elif isinstance(just, RD):
-            if match_rd(formulas[just.i - 1], line.formula):
-                verdicts.append(LineVerdict(
-                    idx, True, rule, f"announcement rule on {just.i}"))
-            else:
-                verdicts.append(fail(
-                    f"not the box-stripped form of line {just.i}"))
-        elif isinstance(just, RCS):
-            if cs.contains_formula(line.formula):
-                verdicts.append(LineVerdict(
-                    idx, True, rule, "constant specification member"))
-            else:
-                verdicts.append(fail(
-                    "formula is not in the constant specification"))
-        elif isinstance(just, (BoxNec, CstitNec)):
-            if not allow_modal_necessitation:
-                verdicts.append(fail(
-                    "modal necessitation is not a rule of the system; "
-                    "enable it explicitly to accept this line"))
-                continue
-            if isinstance(just, BoxNec):
-                want = Box(formulas[just.i - 1])
-                name = "Box"
-            else:
-                want = Cstit(just.agent, formulas[just.i - 1])
-                name = f"[{just.agent}]"
-            if line.formula == want:
-                verdicts.append(LineVerdict(
-                    idx, True, rule, f"{name}-necessitation of {just.i}"))
-            else:
-                verdicts.append(fail(
-                    f"formula is not {name} applied to line {just.i}"))
-        else:
-            verdicts.append(fail(f"unknown justification {rule}"))
+                return False, "no axiom scheme matches", None
+            if just.scheme is not None and just.scheme != got.scheme:
+                return False, f"matches {got.scheme}, not the declared {just.scheme}", None
+            return True, f"axiom {got.scheme}", got.scheme
+        if isinstance(just, MP):
+            if formulas[just.j - 1] == implies(formulas[just.i - 1], formula):
+                return True, f"modus ponens from {just.i} and {just.j}", None
+            return False, f"line {just.j} is not (line {just.i} -> line {idx})", None
+        if isinstance(just, RD):
+            if match_rd(formulas[just.i - 1], formula):
+                return True, f"announcement rule on {just.i}", None
+            return False, f"not the box-stripped form of line {just.i}", None
+        if isinstance(just, RCS):
+            if cs.contains_formula(formula):
+                return True, "constant specification member", None
+            return False, "formula is not in the constant specification", None
+        nec = _NECESSITATIONS.get(type(just))
+        if nec is None:
+            return False, f"unknown justification {type(just).__name__}", None
+        op, name, modal = nec(just)
+        if modal and not allow_modal_necessitation:
+            return False, ("modal necessitation is not a rule of the system; "
+                           "enable it explicitly to accept this line"), None
+        if formula == op(formulas[just.i - 1]):
+            return True, f"{name}-necessitation of {just.i}", None
+        return False, f"formula is not {name} applied to line {just.i}", None
 
+    verdicts = []
+    for idx, line in enumerate(proof.lines, start=1):
+        ok, message, scheme = check(idx, line.formula, line.just)
+        verdicts.append(LineVerdict(idx, ok, type(line.just).__name__, message, scheme))
     return ProofVerdict(tuple(verdicts))
 
 

@@ -30,7 +30,9 @@ Proof document:
 
 Justification kinds: axiom (optional "scheme"), mp (i antecedent line, j
 implication line), knec, rd, rcs, boxnec, cstitnec (with "agent"); line
-numbers count from 1.
+numbers count from 1. One table maps each kind to its record class in
+``calculus``, and the class's dataclass fields are the block's other keys;
+witnesses ("mixsucc", "reg") are read and written the same way.
 
 Dumps are canonical: sorted keys, sorted pair lists, every moment-history
 pair listed in "act", and an explicit "default" in "evidence", so equal
@@ -44,7 +46,7 @@ from dataclasses import fields
 from typing import Any, Optional, Union, get_args
 
 from .calculus import (
-    Axiom, BoxNec, CstitNec, Justification, KNec, MP, Proof, RCS, RD,
+    Axiom, BoxNec, CstitNec, KNec, MP, Proof, RCS, RD,
 )
 from .countermodels import (
     MixsuccWitness, RegWitness, TARGET_FORMULA, dense_pairs_supporting,
@@ -361,15 +363,15 @@ def dump_cs(cs: ConstantSpecification) -> list[dict]:
             for chain, payload in sorted(cs.entries, key=cs_entry_key)]
 
 
-_JUST_KEYS = {
-    "axiom": frozenset({"kind", "scheme"}),
-    "mp": frozenset({"kind", "i", "j"}),
-    "knec": frozenset({"kind", "i"}),
-    "rd": frozenset({"kind", "i"}),
-    "rcs": frozenset({"kind"}),
-    "boxnec": frozenset({"kind", "i"}),
-    "cstitnec": frozenset({"kind", "i", "agent"}),
+# kind name to record class; a block's keys besides "kind" are the
+# class's dataclass fields
+_JUSTIFICATIONS = {
+    "axiom": Axiom, "mp": MP, "knec": KNec, "rd": RD, "rcs": RCS,
+    "boxnec": BoxNec, "cstitnec": CstitNec,
 }
+_WITNESSES = {"mixsucc": MixsuccWitness, "reg": RegWitness}
+_KIND_OF = {cls: kind for table in (_JUSTIFICATIONS, _WITNESSES)
+            for kind, cls in table.items()}
 
 
 def _int_field(block: dict, key: str, where: str) -> int:
@@ -379,52 +381,45 @@ def _int_field(block: dict, key: str, where: str) -> int:
     return value
 
 
-def _load_just(block: Any, where: str) -> Justification:
+# field reader by annotation (the record modules postpone annotations, so
+# a field's type is its annotation text)
+_FIELD_READERS = {
+    "int": _int_field,
+    "str": _str_field,
+    "Optional[str]": lambda block, key, where: (
+        None if block.get(key) is None else _str_field(block, key, where)),
+    "frozenset": lambda block, key, where: frozenset(
+        _str_list(_need(block, key, where), f"{where}.{key}")),
+}
+
+
+def _load_record(block: Any, table: dict, where: str, unknown: str):
+    """The record that block spells out: table maps its "kind" to a record
+    class, whose dataclass fields are the block's other keys. unknown is the
+    error for any other kind, with {!r} for the kind."""
     if not isinstance(block, dict):
         raise DocumentError(f"{where} must be an object")
     kind = _need(block, "kind", where)
-    if not isinstance(kind, str) or kind not in _JUST_KEYS:
-        raise DocumentError(f"{where}.kind {kind!r} is not a justification kind")
-    _check_keys(block, _JUST_KEYS[kind], where)
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DocumentError(unknown.format(kind))
+    _check_keys(block, {"kind", *(f.name for f in fields(cls))}, where)
+    values = {f.name: _FIELD_READERS[f.type](block, f.name, where)
+              for f in fields(cls)}
     try:
-        if kind == "axiom":
-            scheme = block.get("scheme")
-            if scheme is not None and not isinstance(scheme, str):
-                raise DocumentError(f"{where}.scheme must be a string")
-            return Axiom(scheme)
-        if kind == "mp":
-            return MP(_int_field(block, "i", where), _int_field(block, "j", where))
-        if kind == "knec":
-            return KNec(_int_field(block, "i", where))
-        if kind == "rd":
-            return RD(_int_field(block, "i", where))
-        if kind == "boxnec":
-            return BoxNec(_int_field(block, "i", where))
-        if kind == "cstitnec":
-            return CstitNec(_int_field(block, "i", where),
-                            _int_field(block, "agent", where))
-        return RCS()
-    except ValueError as e:
+        return cls(**values)
+    except ValueError as e:  # a value the record's constructor refuses
         raise DocumentError(f"{where}: {e}") from e
 
 
-def _dump_just(just: Justification) -> dict:
-    if isinstance(just, Axiom):
-        out: dict = {"kind": "axiom"}
-        if just.scheme is not None:
-            out["scheme"] = just.scheme
-        return out
-    if isinstance(just, MP):
-        return {"kind": "mp", "i": just.i, "j": just.j}
-    if isinstance(just, KNec):
-        return {"kind": "knec", "i": just.i}
-    if isinstance(just, RD):
-        return {"kind": "rd", "i": just.i}
-    if isinstance(just, BoxNec):
-        return {"kind": "boxnec", "i": just.i}
-    if isinstance(just, CstitNec):
-        return {"kind": "cstitnec", "i": just.i, "agent": just.agent}
-    return {"kind": "rcs"}
+def _dump_record(record) -> dict:
+    """record as a block: its kind and each field not None, sets sorted."""
+    out = {"kind": _KIND_OF[type(record)]}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is not None:
+            out[f.name] = sorted(value) if isinstance(value, frozenset) else value
+    return out
 
 
 def load_proof(doc: dict) -> tuple[Proof, ConstantSpecification]:
@@ -441,14 +436,16 @@ def load_proof(doc: dict) -> tuple[Proof, ConstantSpecification]:
             raise DocumentError(f"{where} must be an object")
         _check_keys(block, frozenset({"formula", "just"}), where)
         formula = _formula(_need(block, "formula", where), f"{where}.formula")
-        lines.append((formula, _load_just(_need(block, "just", where), f"{where}.just")))
+        just = _load_record(_need(block, "just", where), _JUSTIFICATIONS, f"{where}.just",
+                            f"{where}.just.kind {{!r}} is not a justification kind")
+        lines.append((formula, just))
     cs = load_cs(doc.get("cs", []))
     return Proof(lines), cs
 
 
 def dump_proof(proof: Proof, cs: Optional[ConstantSpecification] = None) -> dict:
     doc: dict = {
-        "lines": [{"formula": render(line.formula), "just": _dump_just(line.just)}
+        "lines": [{"formula": render(line.formula), "just": _dump_record(line.just)}
                   for line in proof.lines],
     }
     if cs is not None and cs.entries:
@@ -460,26 +457,12 @@ def dump_proof(proof: Proof, cs: Optional[ConstantSpecification] = None) -> dict
 # witnesses and counter-model output
 
 def load_witness(doc: Any) -> Union[MixsuccWitness, RegWitness]:
-    if not isinstance(doc, dict):
-        raise DocumentError("witness must be an object")
-    kind = _need(doc, "kind", "witness")
-    if kind == "mixsucc":
-        _check_keys(doc, frozenset({"kind", "m0", "m1", "h0", "h1"}), "witness")
-        return MixsuccWitness(*(_str_field(doc, k, "witness")
-                                for k in ("m0", "m1", "h0", "h1")))
-    if kind == "reg":
-        _check_keys(doc, frozenset({"kind", "m0", "m1", "h_prime", "s"}), "witness")
-        return RegWitness(
-            *(_str_field(doc, k, "witness") for k in ("m0", "m1", "h_prime")),
-            frozenset(_str_list(_need(doc, "s", "witness"), "witness.s")))
-    raise DocumentError(f"witness kind {kind!r} is neither mixsucc nor reg")
+    return _load_record(doc, _WITNESSES, "witness",
+                        "witness kind {!r} is neither mixsucc nor reg")
 
 
 def dump_witness(w: Union[MixsuccWitness, RegWitness]) -> dict:
-    if isinstance(w, MixsuccWitness):
-        return {"kind": "mixsucc", "m0": w.m0, "m1": w.m1, "h0": w.h0, "h1": w.h1}
-    return {"kind": "reg", "m0": w.m0, "m1": w.m1, "h_prime": w.h_prime,
-            "s": sorted(w.s)}
+    return _dump_record(w)
 
 
 def countermodel_document(model: JstitModel, index: Index,

@@ -12,13 +12,13 @@ pay for it.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Callable, Iterator, Optional
 
 from .diagnostics import violations
-from .frames import JstitFrame, StitFrame, TemporalFrame
+from .frames import JstitFrame, StitFrame, TemporalFrame, _closure
 from .models import EVERYTHING, JstitModel, Universe, validate_model
+from .semantics import _parent_vectors
 from .syntax import (
     And,
     Announced,
@@ -43,10 +43,7 @@ from .syntax import (
 
 def all_trees(n: int) -> Iterator[list[Optional[int]]]:
     """Every parent vector on n nodes, in lexicographic order."""
-    if n == 1:
-        yield [None]
-        return
-    for tail in itertools.product(*(range(i) for i in range(1, n))):
+    for tail in _parent_vectors(n):
         yield [None, *tail]
 
 
@@ -62,11 +59,6 @@ def tree_data(rng: random.Random, n: int, dense_p: float = 0.0
     covers = [(names[p], names[i]) for i, p in enumerate(parents) if p is not None]
     dense = [e for e in covers if rng.random() < dense_p]
     return names, covers, dense
-
-
-def random_temporal_frame(rng: random.Random, n: int, dense_p: float = 0.0) -> TemporalFrame:
-    names, covers, dense = tree_data(rng, n, dense_p)
-    return TemporalFrame(names, covers, dense=dense)
 
 
 def _random_choice_table(rng: random.Random, frame: StitFrame) -> dict:
@@ -98,21 +90,11 @@ def random_stit_frame(rng: random.Random, n: int, agents: int = 2,
 
 def random_preorder_extension(rng: random.Random, frame, base: frozenset,
                               extra_pairs: int) -> frozenset:
-    """Grow a reflexive-transitive relation on the moments from ``base``."""
+    """Grow a reflexive-transitive relation on the moments from ``base``,
+    which must be reflexive-transitive itself."""
     moments = list(frame.moments)
-    pairs = set(base)
-    for _ in range(extra_pairs):
-        a, b = rng.choice(moments), rng.choice(moments)
-        pairs.add((a, b))
-        changed = True
-        while changed:
-            changed = False
-            for x, y in list(pairs):
-                for y2, z in list(pairs):
-                    if y == y2 and (x, z) not in pairs:
-                        pairs.add((x, z))
-                        changed = True
-    return frozenset(pairs)
+    extra = [(rng.choice(moments), rng.choice(moments)) for _ in range(extra_pairs)]
+    return _closure(moments, [*base, *extra])
 
 
 def random_jstit_frame(rng: random.Random, n: int, agents: int = 2,

@@ -661,7 +661,7 @@ def parse_polynomial(text: str) -> Polynomial:
 # context requires. Or/Implies/Dia patterns are resugared before plain
 # rendering (Or before Implies: the Or shape is the more specific of the two).
 
-_IFF_LVL, _IMP_LVL, _OR_LVL, _AND_LVL, _UN_LVL, _ATOM_LVL = 0, 1, 2, 3, 4, 5
+_IMP_LVL, _OR_LVL, _AND_LVL, _UN_LVL, _ATOM_LVL = 1, 2, 3, 4, 5
 _PSUM_LVL, _PPROD_LVL, _PUN_LVL, _PATOM_LVL = 0, 1, 2, 3
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jastit import cli, documents
-from jastit.calculus import Axiom, BoxNec, Proof, RD
+from jastit.calculus import Axiom, BoxNec, CstitNec, KNec, MP, Proof, RCS, RD
 from jastit.cli import main
 from jastit.countermodels import RegWitness, build_jstit_countermodel
 from jastit.documents import canonical_json, dump_frame, dump_model, dump_proof
@@ -306,6 +306,23 @@ def target_proof_doc():
     return dump_proof(proof)
 
 
+def every_kind_proof_doc():
+    """A proof with a line of every justification kind and a cs block."""
+    proof = Proof([
+        (pf("p -> p"), Axiom()),
+        (pf("(p -> p) -> (q -> q)"), Axiom("A0")),
+        (pf("q -> q"), MP(1, 2)),
+        (pf("K (q -> q)"), KNec(3)),
+        (pf("Box (p -> p)"), BoxNec(1)),
+        (pf("[1] (p -> p)"), CstitNec(1, 1)),
+        (pf("c : (p -> p)"), RCS()),
+        (pf("K (Box E x | ~Box E y) -> (Box E x | ~Box E y)"), Axiom("A7")),
+        (pf("K (Box E x | ~Box E y) -> (E x | ~E y)"), RD(8)),
+    ])
+    cs = documents.load_cs([{"chain": ["c"], "formula": "p -> p"}])
+    return dump_proof(proof, cs)
+
+
 def test_verify_proof_accepted(tmp_path, capsys):
     path = write(tmp_path, "p.json", target_proof_doc())
     assert main(["verify-proof", path]) == 0
@@ -340,6 +357,32 @@ def test_verify_proof_modal_necessitation_flag(tmp_path):
     path = write(tmp_path, "p.json", dump_proof(proof))
     assert main(["verify-proof", path]) == 1
     assert main(["verify-proof", "--allow-modal-necessitation", path]) == 0
+
+
+def test_verify_proof_negative_agent_is_bad_input(tmp_path, capsys):
+    doc = {"lines": [
+        {"formula": "p -> p", "just": {"kind": "axiom"}},
+        {"formula": "[0] (p -> p)", "just": {"kind": "cstitnec", "i": 1, "agent": -1}},
+    ]}
+    path = write(tmp_path, "p.json", doc)
+    assert main(["verify-proof", "--allow-modal-necessitation", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2.just: agent index must be a nonnegative int, got -1\n")
+
+
+@pytest.mark.parametrize("just,message", [
+    ({"kind": "knec", "i": "one"}, "line 2.just.i must be an integer"),
+    ({"kind": "mp", "i": 1}, "line 2.just is missing the 'j' key"),
+    ({"kind": "axiom", "scheme": 7}, "line 2.just.scheme must be a string"),
+    ({"kind": "axiom", "scheme": "A11"}, "line 2.just: unknown axiom scheme 'A11'"),
+    ({"kind": ["knec"], "i": 1}, "line 2.just.kind ['knec'] is not a justification kind"),
+])
+def test_verify_proof_justification_field_errors(tmp_path, capsys, just, message):
+    doc = target_proof_doc()
+    doc["lines"][1]["just"] = just
+    path = write(tmp_path, "p.json", doc)
+    assert main(["verify-proof", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_proof_bad_cs_is_input_error(tmp_path, capsys):
@@ -379,6 +422,16 @@ def test_search_budget_stops_before_all_whiteboard_subsets(capsys):
     assert main(["search", "--formula", f"{lhs} -> E x0",
                  "--budget", "1", "--max-moments", "1"]) == 3
     assert "resource bound exceeded" in capsys.readouterr().err
+
+
+def test_search_stops_at_the_five_moment_star(capsys):
+    # the first five-moment tree is the star, whose preorders have 16 free
+    # pairs; with one history only the chain (10 free pairs) is searched
+    assert main(["search", "--formula", "p -> p", "--max-moments", "5"]) == 3
+    assert "free pairs" in capsys.readouterr().err
+    assert main(["search", "--formula", "p -> p", "--max-moments", "5",
+                 "--max-histories", "1"]) == 0
+    assert capsys.readouterr().out == "none within bounds\n"
 
 
 def test_search_bad_formula(capsys):
@@ -520,7 +573,7 @@ _SEEDS = {
               {"moments": ["a", "b"], "order": [["a", "b"], ["b", "a"]], "agents": 1},
               {"moments": ["r", "m0"], "order": [["r", "m0"]], "dense": [["m0", "zz"]]}),
     "model": (golden_model_doc(),),
-    "proof": (target_proof_doc(),),
+    "proof": (target_proof_doc(), every_kind_proof_doc()),
 }
 
 
@@ -560,7 +613,8 @@ _COMMANDS = {
               ["eval", "--at", "m0,h0", "--formula", "E y"],
               ["eval", "--at", "c,h1", "--formula", "K [1] p"],
               ["eval", "--at", "zz,h0", "--formula", "E x"]),
-    "proof": (["verify-proof"], ["verify-proof", "--strict-tautologies"]),
+    "proof": (["verify-proof"], ["verify-proof", "--strict-tautologies"],
+              ["verify-proof", "--allow-modal-necessitation"]),
 }
 
 
@@ -582,7 +636,8 @@ def test_mutated_documents_never_crash(fuzz_dir, kind):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([*command, path])
-            assert code in range(5), (command, doc, code)
+            # exit 4 is a fault in jastit, never an answer to a document
+            assert code in range(4), (command, doc, code, err.getvalue())
             assert "Traceback" not in err.getvalue(), (command, doc)
 
     run()

@@ -30,3 +30,41 @@ def test_no_unused_imports():
     assert paths
     unused = [hit for p in paths for hit in _unused_imports(p)]
     assert unused == []
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
+def _named(tree: ast.AST):
+    """Every name read, imported or used as an attribute in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_unreferenced_definitions():
+    # dunders are read by the interpreter and packaging; cli.main looks the
+    # _cmd_* handlers up by name
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for top in ("src", "tests", "scripts")
+             for p in sorted((ROOT / top).rglob("*.py"))}
+    named = {name for tree in trees.values() for name in _named(tree)}
+    unreferenced = [
+        f"{p.relative_to(ROOT)}:{line} {name}"
+        for p, tree in trees.items() if p.parent == ROOT / "src" / "jastit"
+        for name, line in _top_level_names(tree)
+        if name not in named and not name.startswith(("__", "_cmd_"))]
+    assert unreferenced == []
