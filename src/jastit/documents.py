@@ -58,8 +58,8 @@ from .models import (
 )
 from .semantics import Index
 from .syntax import (
-    Formula, ParseError, Polynomial, parse_formula, parse_polynomial, render,
-    render_polynomial,
+    AST_DUMP_MAX_NODES, Formula, ParseError, Polynomial, parse_formula,
+    parse_polynomial, render, render_polynomial, tree_size,
 )
 
 __all__ = [
@@ -484,21 +484,6 @@ def countermodel_document(model: JstitModel, index: Index,
 
 _AST_TYPES = get_args(Formula) + get_args(Polynomial)
 
-# The most constructor nodes ast_dump prints. Shared subterms are printed in
-# full at each occurrence, so the tree of a term within MAX_DEPTH can be
-# exponentially larger than the term: a chain of <-> doubles per link.
-AST_DUMP_MAX_NODES = 100_000
-
-
-def _tree_size(x: Union[Formula, Polynomial], memo: dict) -> int:
-    """Nodes of x's unfolded tree, each distinct (interned) subterm counted
-    once and its count reused wherever it is shared."""
-    n = memo.get(x)
-    if n is None:
-        n = memo[x] = 1 + sum(_tree_size(v, memo) for v in _field_values(x)
-                              if isinstance(v, _AST_TYPES))
-    return n
-
 
 def _field_values(x: Union[Formula, Polynomial]) -> list:
     return [getattr(x, f.name) for f in fields(x)]
@@ -511,7 +496,7 @@ def ast_dump(x: Union[Formula, Polynomial]) -> str:
     AST_DUMP_MAX_NODES nodes."""
     if not isinstance(x, _AST_TYPES):
         raise TypeError(f"not a formula or polynomial: {x!r}")
-    size = _tree_size(x, {})
+    size = tree_size(x)
     if size > AST_DUMP_MAX_NODES:
         raise ResourceBoundExceeded(
             f"constructor tree of {size} nodes exceeds the {AST_DUMP_MAX_NODES} "

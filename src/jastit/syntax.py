@@ -17,11 +17,20 @@ Concrete syntax notes:
 * ``:`` binds tighter than ``~``, which binds tighter than ``&``, then ``|``,
   then ``->`` (right associative), then ``<->``;
 * for polynomials ``!`` binds tighter than ``*`` than ``+``;
+* a proof assertion starts where an operand may start and the tokens up to
+  the next ``:`` form one whole polynomial: ``(x + y) * z : p`` is an
+  assertion, while in ``(x : p)`` the first ``(`` groups a formula, since
+  ``(x`` is no polynomial. Anything else there is a formula operand. The
+  parser finds these starts in one right-to-left scan per input, so it
+  reads each input once and never backtracks;
 * the right-hand side of ``:`` is parsed at prefix level: ``x : ~p & q``
   reads as ``(x : ~p) & q``;
 * ``E`` takes a whole polynomial: ``E s + t`` reads as ``E (s + t)``;
 * a term nested more than ``MAX_DEPTH`` constructors deep, sugar expanded,
-  is a ``ParseError``.
+  is a ``ParseError``, and so is text with more than ``MAX_DEPTH``
+  parentheses open at once (formula and polynomial ones together; 200
+  parse, 201 do not). Redundant parentheses add no constructor, so they
+  are bounded by their own count.
 
 Unicode aliases are accepted on input (``∧ ∨ ¬ → ↔ □ ◇ × ⊤ ⊥``); ASCII is
 always sufficient and is what the renderer emits.
@@ -46,7 +55,7 @@ __all__ = [
     "as_implies", "as_or", "as_dia", "flatten_or", "flatten_and",
     "subformulas", "subpolynomials", "prop_vars", "agents_in", "check_agents",
     "parse_formula", "parse_polynomial", "ParseError", "MAX_DEPTH",
-    "render", "render_polynomial",
+    "render", "render_polynomial", "tree_size", "AST_DUMP_MAX_NODES",
 ]
 
 Agent = int
@@ -133,12 +142,41 @@ class _Term(metaclass=_Interned):
         # they return the interned node
         return type(self), self._fields()
 
+    def __repr__(self) -> str:
+        # the dataclass form, unless it would unfold more than
+        # AST_DUMP_MAX_NODES nodes; a child never has more than its parent
+        size = tree_size(self)
+        if size > AST_DUMP_MAX_NODES:
+            return f"<{type(self).__qualname__} of {size} unfolded nodes>"
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# the constructors' decorator; equality and repr come from _Term
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+# The most nodes that a term's repr and documents.ast_dump unfold. Shared
+# subterms are unfolded at each occurrence, so the tree of a term within
+# MAX_DEPTH can be exponentially larger than the term: a chain of <->
+# doubles per link.
+AST_DUMP_MAX_NODES = 100_000
+
+
+def tree_size(x: _Term) -> int:
+    """Nodes of x's unfolded tree. Cached on each node, so the count costs
+    one step per distinct subterm however often it is shared."""
+    size = x.__dict__.get("_tree_size")
+    if size is None:
+        size = 1 + sum(tree_size(c) for c in x._fields() if isinstance(c, _Term))
+        object.__setattr__(x, "_tree_size", size)
+    return size
+
 
 # ---------------------------------------------------------------------------
 # proof polynomials
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ProofVar(_Term):
     name: str
 
@@ -150,7 +188,7 @@ class ProofVar(_Term):
                 f"{name!r} starts with 'c'/'d' and is reserved for proof constants")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ProofConst(_Term):
     name: str
 
@@ -161,13 +199,13 @@ class ProofConst(_Term):
             raise ValueError(f"proof constants must start with 'c' or 'd', got {name!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Sum(_Term):
     left: "Polynomial"
     right: "Polynomial"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class App(_Term):
     """Application s * t: apply reasoning s to premise evidence t."""
 
@@ -175,7 +213,7 @@ class App(_Term):
     right: "Polynomial"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Check(_Term):
     """Positive proof checker !t."""
 
@@ -189,25 +227,25 @@ Polynomial = Union[ProofVar, ProofConst, Sum, App, Check]
 # formulas
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class PropVar(_Term):
     name: str
 
     _check = staticmethod(_require_ident)
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class And(_Term):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Not(_Term):
     arg: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Cstit(_Term):
     """[j]A: agent j sees to it that A."""
 
@@ -220,14 +258,14 @@ class Cstit(_Term):
             raise ValueError(f"agent index must be a nonnegative int, got {agent!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Box(_Term):
     """Historical necessity."""
 
     arg: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Proves(_Term):
     """t : A, the proof assertion."""
 
@@ -235,12 +273,12 @@ class Proves(_Term):
     arg: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Knows(_Term):
     arg: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Announced(_Term):
     """E t: polynomial t has been presented to the community."""
 
@@ -393,225 +431,210 @@ class ParseError(Exception):
         super().__init__(f"{message} at position {pos}{suffix}")
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<WS>      \s+)
-    | (?P<ARROW>   ->|→)
-    | (?P<IFF>     <->|↔)
-    | (?P<AND>     &|∧)
-    | (?P<OR>      \||∨)
-    | (?P<NOT>     ~|¬)
-    | (?P<BOXU>    □)
-    | (?P<DIAU>    ◇)
-    | (?P<TOPU>    ⊤)
-    | (?P<BOTU>    ⊥)
-    | (?P<TIMES>   \*|×)
-    | (?P<PLUS>    \+)
-    | (?P<BANG>    !)
-    | (?P<COLON>   :)
-    | (?P<LPAR>    \()
-    | (?P<RPAR>    \))
-    | (?P<LBRACK>  \[)
-    | (?P<RBRACK>  \])
-    | (?P<INT>     \d+)
-    | (?P<IDENT>   [A-Za-z_][A-Za-z0-9_']*)
-    """,
-    re.VERBOSE,
-)
+# one token; no two alternatives start with the same character
+_TOKEN = r"->|→|<->|↔|[&∧|∨~¬□◇⊤⊥*×+!:()\[\]]|\d+|[A-Za-z_][A-Za-z0-9_']*"
+_TOKEN_RE = re.compile(_TOKEN)
+# the longest prefix made of tokens and white space
+_LEXABLE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
-# unicode operators normalize to their keyword token kinds
-_UNICODE_KINDS = {"BOXU": "Box", "DIAU": "Dia", "TOPU": "top", "BOTU": "bot"}
+# Unicode keywords are reported by keyword name in error messages
+_KEYWORD_ALIASES = {"□": "Box", "◇": "Dia", "⊤": "top", "⊥": "bot"}
+# token text to kind: the ASCII spelling of an operator or keyword; any
+# other token is an INT or an IDENT
+_KINDS = ({s: s for s in ("->", "<->", "&", "|", "~", "*", "+", "!", ":",
+                          "(", ")", "[", "]", *_KEYWORDS)}
+          | {"→": "->", "↔": "<->", "∧": "&", "∨": "|", "¬": "~", "×": "*"}
+          | _KEYWORD_ALIASES)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    pos: int
+def _assertion_starts(kinds: list[str]) -> set[int]:
+    """The tokens where a proof assertion begins: those from which the tokens
+    up to the next ':' form one whole polynomial.
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind != "WS":
-            if kind in _UNICODE_KINDS:
-                tokens.append(_Token("KEYWORD", _UNICODE_KINDS[kind], pos))
-            elif kind == "IDENT" and value in _KEYWORDS:
-                tokens.append(_Token("KEYWORD", value, pos))
-            else:
-                tokens.append(_Token(kind, value, pos))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+    Each run before a ':' is read right to left, keeping whether a whole
+    operand lies to the right and how many ')' are open. A pair of
+    neighbours that no polynomial holds (an operator before ')', two
+    operands side by side), or a '(' that no ')' closes, ends the run:
+    every longer run holds it too."""
+    starts = set()
+    if ":" not in kinds:
+        return starts
+    live = False
+    for i in range(len(kinds) - 1, -1, -1):
+        k = kinds[i]
+        if k == ":":
+            live, operand, depth = True, False, 0
+            continue
+        if not live:
+            continue
+        if k == "IDENT":
+            live, operand = not operand, True
+        elif k == ")":
+            live, depth = not operand, depth + 1
+        elif k == "+" or k == "*":
+            live, operand = operand, False
+        elif k == "!":
+            live = operand
+        elif k == "(":
+            live, depth = operand and depth > 0, depth - 1
+        else:
+            live = False
+        if live and operand and depth == 0:
+            starts.add(i)
+    return starts
 
 
 # ---------------------------------------------------------------------------
 # parser
+#
+# One pass, no backtracking: prefix operators are gathered in a loop, infix
+# chains are folded with an operator stack, and only parentheses recurse.
+
+_PREFIX = {"~": Not, "Box": Box, "Dia": dia, "K": Knows}
+# infix operator: (binding strength, builder); strengths below 2 group to
+# the right, the others to the left
+_FORMULA_INFIX = {"<->": (0, iff), "->": (1, implies), "|": (2, disj), "&": (3, And)}
+_POLY_INFIX = {"+": (2, Sum), "*": (3, App)}
+
+
+def _reduce(out: list, ops: list) -> None:
+    right = out.pop()
+    out[-1] = ops.pop()[1](out[-1], right)
+
 
 class _Parser:
     def __init__(self, text: str):
+        lexable = _LEXABLE_RE.match(text).end()
+        if lexable < len(text):
+            raise ParseError(f"unexpected character {text[lexable]!r}", lexable, text)
         self.text = text
-        self.tokens = _tokenize(text)
+        self.toks = _TOKEN_RE.findall(text)
+        self.kinds = [_KINDS.get(s) or ("INT" if s.isdecimal() else "IDENT")
+                      for s in self.toks]
+        self.kinds.append("EOF")
+        self.assertions = _assertion_starts(self.kinds)
         self.i = 0
+        self.parens = 0
 
     # -- token plumbing
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def pos(self, i: int) -> int:
+        """Character offset of token i; only errors need it."""
+        if i == len(self.toks):
+            return len(self.text)
+        return [m.start() for m in _TOKEN_RE.finditer(self.text)][i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def eat(self, kind: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.fail(kind.lower())
+        self.i = i + 1
+        return self.toks[i]
 
-    def at(self, kind: str, value: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
+    def fail(self, expected: str) -> ParseError:
+        i = self.i
+        if i == len(self.toks):
+            msg = "unexpected end of input"
+        else:
+            msg = f"unexpected {_KEYWORD_ALIASES.get(self.toks[i], self.toks[i])!r}"
+        return ParseError(msg, self.pos(i), self.text, (expected,))
 
-    def eat(self, kind: str, value: Optional[str] = None) -> _Token:
-        if not self.at(kind, value):
-            tok = self.peek()
-            want = value if value is not None else kind.lower()
-            raise ParseError(
-                f"unexpected {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.pos, self.text, expected=(want,),
-            )
-        return self.advance()
+    def infix(self, operand: Callable[[], _T], table: dict) -> _T:
+        """operand (op operand)*, for the operators in table."""
+        out = [operand()]
+        ops = []
+        while (k := self.kinds[self.i]) in table:
+            strength, build = table[k]
+            while ops and (ops[-1][0] > strength or ops[-1][0] == strength >= 2):
+                _reduce(out, ops)
+            ops.append((strength, build))
+            self.i += 1
+            out.append(operand())
+        while ops:
+            _reduce(out, ops)
+        return out[0]
 
-    def fail(self, expected: tuple[str, ...]) -> ParseError:
-        tok = self.peek()
-        msg = f"unexpected {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input"
-        return ParseError(msg, tok.pos, self.text, expected=expected)
+    def group(self, operand: Callable[[], _T], table: dict) -> _T:
+        """A parenthesized infix chain; the '(' is at self.i - 1."""
+        if self.parens == MAX_DEPTH:
+            raise ParseError(f"nesting too deep (more than {MAX_DEPTH} parentheses)",
+                             self.pos(self.i - 1), self.text)
+        self.parens += 1
+        out = self.infix(operand, table)
+        self.eat(")")
+        self.parens -= 1
+        return out
 
-    # -- formulas, loosest binding first
+    # -- formulas
 
     def formula(self) -> Formula:
-        left = self.impl()
-        if self.at("IFF"):
-            self.advance()
-            right = self.formula()
-            return iff(left, right)
-        return left
-
-    def impl(self) -> Formula:
-        left = self.disjunction()
-        if self.at("ARROW"):
-            self.advance()
-            right = self.impl()
-            return implies(left, right)
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.at("OR"):
-            self.advance()
-            left = disj(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.at("AND"):
-            self.advance()
-            left = And(left, self.unary())
-        return left
+        return self.infix(self.unary, _FORMULA_INFIX)
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "KEYWORD" and tok.value == "Box":
-            self.advance()
-            return Box(self.unary())
-        if tok.kind == "KEYWORD" and tok.value == "Dia":
-            self.advance()
-            return dia(self.unary())
-        if tok.kind == "KEYWORD" and tok.value == "K":
-            self.advance()
-            return Knows(self.unary())
-        if tok.kind == "LBRACK":
-            self.advance()
-            agent = int(self.eat("INT").value)
-            self.eat("RBRACK", "]")
-            return Cstit(agent, self.unary())
-        return self.operand()
-
-    def operand(self) -> Formula:
-        # a polynomial followed by ':' is a proof assertion; backtrack otherwise
-        mark = self.i
-        try:
-            t = self.polynomial()
-        except ParseError:
-            self.i = mark
+        # prefixes are gathered first and applied inside out to the operand
+        wrap = []
+        kinds = self.kinds
+        while True:
+            i = self.i
+            k = kinds[i]
+            if k in _PREFIX:
+                wrap.append(_PREFIX[k])
+                self.i = i + 1
+            elif k == "[":
+                self.i = i + 1
+                digits = self.eat("INT")
+                try:
+                    agent = int(digits)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("agent index too large", self.pos(i + 1),
+                                     self.text) from None
+                self.eat("]")
+                wrap.append(functools.partial(Cstit, agent))
+            elif i in self.assertions:
+                wrap.append(functools.partial(Proves, self.polynomial()))
+                self.i += 1  # the ':'
+            else:
+                break
+        self.i = i + 1
+        if k == "IDENT":
+            f = PropVar(self.toks[i])
+        elif k == "(":
+            f = self.group(self.unary, _FORMULA_INFIX)
+        elif k == "E":
+            f = Announced(self.polynomial())
+        elif k == "top":
+            f = top
+        elif k == "bot":
+            f = bot
         else:
-            if self.at("COLON"):
-                self.advance()
-                return Proves(t, self.unary())
-            self.i = mark
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "LPAR":
-            self.advance()
-            inner = self.formula()
-            self.eat("RPAR", ")")
-            return inner
-        if tok.kind == "KEYWORD" and tok.value == "E":
-            self.advance()
-            return Announced(self.polynomial())
-        if tok.kind == "KEYWORD" and tok.value == "top":
-            self.advance()
-            return top
-        if tok.kind == "KEYWORD" and tok.value == "bot":
-            self.advance()
-            return bot
-        if tok.kind == "IDENT":
-            self.advance()
-            return PropVar(tok.value)
-        raise self.fail(("formula",))
+            self.i = i
+            raise self.fail("formula")
+        for w in reversed(wrap):
+            f = w(f)
+        return f
 
     # -- polynomials
 
     def polynomial(self) -> Polynomial:
-        left = self.poly_product()
-        while self.at("PLUS"):
-            self.advance()
-            left = Sum(left, self.poly_product())
-        return left
-
-    def poly_product(self) -> Polynomial:
-        left = self.poly_unary()
-        while self.at("TIMES"):
-            self.advance()
-            left = App(left, self.poly_unary())
-        return left
+        return self.infix(self.poly_unary, _POLY_INFIX)
 
     def poly_unary(self) -> Polynomial:
-        if self.at("BANG"):
-            self.advance()
-            return Check(self.poly_unary())
-        return self.poly_primary()
-
-    def poly_primary(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "LPAR":
-            self.advance()
-            inner = self.polynomial()
-            self.eat("RPAR", ")")
-            return inner
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.value[0] in "cd":
-                return ProofConst(tok.value)
-            return ProofVar(tok.value)
-        raise self.fail(("polynomial",))
+        start = i = self.i
+        while self.kinds[i] == "!":
+            i += 1
+        k = self.kinds[i]
+        self.i = i + 1
+        if k == "IDENT":
+            name = self.toks[i]
+            t = ProofConst(name) if name[0] in "cd" else ProofVar(name)
+        elif k == "(":
+            t = self.group(self.poly_unary, _POLY_INFIX)
+        else:
+            self.i = i
+            raise self.fail("polynomial")
+        for _ in range(i - start):
+            t = Check(t)
+        return t
 
 
 # Deepest term the parsers accept. Every walk over terms downstream (render,
@@ -636,12 +659,12 @@ def _parse(text: str, rule: Callable[[_Parser], _T]) -> _T:
     try:
         out = rule(p)
     except RecursionError:
-        raise ParseError("nesting too deep", p.peek().pos, text) from None
-    if not p.at("EOF"):
-        raise p.fail(("end of input",))
+        raise ParseError("nesting too deep", p.pos(p.i), text) from None
+    if p.kinds[p.i] != "EOF":
+        raise p.fail("end of input")
     # no token adds more than four levels (<-> and top expand the most),
     # so only inputs of more than MAX_DEPTH / 4 tokens need the walk
-    if 4 * (len(p.tokens) - 1) > MAX_DEPTH and _too_deep(out):
+    if 4 * len(p.toks) > MAX_DEPTH and _too_deep(out):
         raise ParseError(f"nesting too deep (more than {MAX_DEPTH} levels)", 0, text)
     return out
 

@@ -6,29 +6,46 @@ implementations beyond raw input data (moment sets, the ordering relation,
 the choice partition, act/evidence/valuation tables), so agreement between
 the two is meaningful evidence rather than a tautology; the one exception is
 naive_find_countermodel, which shares the search's enumerators on purpose.
-These are slow on purpose; keep the structures they are fed small.
+These are slow on purpose; keep the structures they are fed small. The
+parsers at the end are the package's earlier backtracking parser, kept as
+the referee of the one-pass parser that replaced it.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from jastit.syntax import (
+    MAX_DEPTH,
     And,
     Announced,
+    App,
     Box,
+    Check,
     Cstit,
     Formula,
     Knows,
     Not,
+    ParseError,
     Polynomial,
+    ProofConst,
+    ProofVar,
     PropVar,
     Proves,
+    Sum,
+    _KEYWORDS,
+    _too_deep,
+    bot,
+    dia,
     disj,
+    iff,
     implies,
     prop_vars,
     render,
     render_polynomial,
+    top,
 )
 from jastit.diagnostics import ResourceBoundExceeded, violations
 from jastit.frames import JstitFrame
@@ -366,3 +383,260 @@ def naive_find_countermodel(f: Formula, bounds):
                             if bad is not None:
                                 return (model, bad), inspected
     return None, inspected
+
+
+# ---------------------------------------------------------------------------
+# parsing: the backtracking parser that syntax.py replaced
+# ---------------------------------------------------------------------------
+#
+# It tokenizes with one named group per token kind and tries every operand
+# as a polynomial first, falling back to a formula when that fails. It
+# shares with the package only the term constructors and sugar, the keyword
+# set, ParseError and the final depth check (MAX_DEPTH, _too_deep). The code
+# is as it was in syntax.py, except that a token is a NamedTuple instead of
+# a frozen dataclass: bench/run.py loads this file without registering it
+# in sys.modules, where a dataclass looks its module up.
+
+_T = TypeVar("_T")
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<WS>      \s+)
+    | (?P<ARROW>   ->|→)
+    | (?P<IFF>     <->|↔)
+    | (?P<AND>     &|∧)
+    | (?P<OR>      \||∨)
+    | (?P<NOT>     ~|¬)
+    | (?P<BOXU>    □)
+    | (?P<DIAU>    ◇)
+    | (?P<TOPU>    ⊤)
+    | (?P<BOTU>    ⊥)
+    | (?P<TIMES>   \*|×)
+    | (?P<PLUS>    \+)
+    | (?P<BANG>    !)
+    | (?P<COLON>   :)
+    | (?P<LPAR>    \()
+    | (?P<RPAR>    \))
+    | (?P<LBRACK>  \[)
+    | (?P<RBRACK>  \])
+    | (?P<INT>     \d+)
+    | (?P<IDENT>   [A-Za-z_][A-Za-z0-9_']*)
+    """,
+    re.VERBOSE,
+)
+
+# unicode operators normalize to their keyword token kinds
+_UNICODE_KINDS = {"BOXU": "Box", "DIAU": "Dia", "TOPU": "top", "BOTU": "bot"}
+
+
+class _Token(NamedTuple):
+    kind: str
+    value: str
+    pos: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
+        kind = m.lastgroup or ""
+        value = m.group()
+        if kind != "WS":
+            if kind in _UNICODE_KINDS:
+                tokens.append(_Token("KEYWORD", _UNICODE_KINDS[kind], pos))
+            elif kind == "IDENT" and value in _KEYWORDS:
+                tokens.append(_Token("KEYWORD", value, pos))
+            else:
+                tokens.append(_Token(kind, value, pos))
+        pos = m.end()
+    tokens.append(_Token("EOF", "", len(text)))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    # -- token plumbing
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def at(self, kind: str, value: Optional[str] = None) -> bool:
+        tok = self.peek()
+        return tok.kind == kind and (value is None or tok.value == value)
+
+    def eat(self, kind: str, value: Optional[str] = None) -> _Token:
+        if not self.at(kind, value):
+            tok = self.peek()
+            want = value if value is not None else kind.lower()
+            raise ParseError(
+                f"unexpected {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
+                tok.pos, self.text, expected=(want,),
+            )
+        return self.advance()
+
+    def fail(self, expected: tuple[str, ...]) -> ParseError:
+        tok = self.peek()
+        msg = f"unexpected {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input"
+        return ParseError(msg, tok.pos, self.text, expected=expected)
+
+    # -- formulas, loosest binding first
+
+    def formula(self) -> Formula:
+        left = self.impl()
+        if self.at("IFF"):
+            self.advance()
+            right = self.formula()
+            return iff(left, right)
+        return left
+
+    def impl(self) -> Formula:
+        left = self.disjunction()
+        if self.at("ARROW"):
+            self.advance()
+            right = self.impl()
+            return implies(left, right)
+        return left
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while self.at("OR"):
+            self.advance()
+            left = disj(left, self.conjunction())
+        return left
+
+    def conjunction(self) -> Formula:
+        left = self.unary()
+        while self.at("AND"):
+            self.advance()
+            left = And(left, self.unary())
+        return left
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "NOT":
+            self.advance()
+            return Not(self.unary())
+        if tok.kind == "KEYWORD" and tok.value == "Box":
+            self.advance()
+            return Box(self.unary())
+        if tok.kind == "KEYWORD" and tok.value == "Dia":
+            self.advance()
+            return dia(self.unary())
+        if tok.kind == "KEYWORD" and tok.value == "K":
+            self.advance()
+            return Knows(self.unary())
+        if tok.kind == "LBRACK":
+            self.advance()
+            agent = int(self.eat("INT").value)
+            self.eat("RBRACK", "]")
+            return Cstit(agent, self.unary())
+        return self.operand()
+
+    def operand(self) -> Formula:
+        # a polynomial followed by ':' is a proof assertion; backtrack otherwise
+        mark = self.i
+        try:
+            t = self.polynomial()
+        except ParseError:
+            self.i = mark
+        else:
+            if self.at("COLON"):
+                self.advance()
+                return Proves(t, self.unary())
+            self.i = mark
+        return self.primary()
+
+    def primary(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "LPAR":
+            self.advance()
+            inner = self.formula()
+            self.eat("RPAR", ")")
+            return inner
+        if tok.kind == "KEYWORD" and tok.value == "E":
+            self.advance()
+            return Announced(self.polynomial())
+        if tok.kind == "KEYWORD" and tok.value == "top":
+            self.advance()
+            return top
+        if tok.kind == "KEYWORD" and tok.value == "bot":
+            self.advance()
+            return bot
+        if tok.kind == "IDENT":
+            self.advance()
+            return PropVar(tok.value)
+        raise self.fail(("formula",))
+
+    # -- polynomials
+
+    def polynomial(self) -> Polynomial:
+        left = self.poly_product()
+        while self.at("PLUS"):
+            self.advance()
+            left = Sum(left, self.poly_product())
+        return left
+
+    def poly_product(self) -> Polynomial:
+        left = self.poly_unary()
+        while self.at("TIMES"):
+            self.advance()
+            left = App(left, self.poly_unary())
+        return left
+
+    def poly_unary(self) -> Polynomial:
+        if self.at("BANG"):
+            self.advance()
+            return Check(self.poly_unary())
+        return self.poly_primary()
+
+    def poly_primary(self) -> Polynomial:
+        tok = self.peek()
+        if tok.kind == "LPAR":
+            self.advance()
+            inner = self.polynomial()
+            self.eat("RPAR", ")")
+            return inner
+        if tok.kind == "IDENT":
+            self.advance()
+            if tok.value[0] in "cd":
+                return ProofConst(tok.value)
+            return ProofVar(tok.value)
+        raise self.fail(("polynomial",))
+
+
+def _parse(text: str, rule: Callable[[_Parser], _T]) -> _T:
+    p = _Parser(text)
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise ParseError("nesting too deep", p.peek().pos, text) from None
+    if not p.at("EOF"):
+        raise p.fail(("end of input",))
+    # no token adds more than four levels (<-> and top expand the most),
+    # so only inputs of more than MAX_DEPTH / 4 tokens need the walk
+    if 4 * (len(p.tokens) - 1) > MAX_DEPTH and _too_deep(out):
+        raise ParseError(f"nesting too deep (more than {MAX_DEPTH} levels)", 0, text)
+    return out
+
+
+def naive_parse_formula(text: str) -> Formula:
+    return _parse(text, _Parser.formula)
+
+
+def naive_parse_polynomial(text: str) -> Polynomial:
+    return _parse(text, _Parser.polynomial)

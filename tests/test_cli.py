@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import time
@@ -60,6 +61,17 @@ def test_parse_too_deep_is_bad_input(capsys):
     err = capsys.readouterr().err
     assert "nesting too deep" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["(" * 10_000 + "p" + ")" * 10_000, "~" * 10_000 + "p"],
+                         ids=["parentheses", "negations"])
+def test_deep_nesting_is_bad_input(tmp_path, capsys, text):
+    path = write(tmp_path, "m.json", golden_model_doc())
+    for command in (["parse", text], ["eval", "--at", "m0,h0", "--formula", text, path]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "nesting too deep" in err
+        assert "Traceback" not in err
 
 
 def test_parse_caps_the_unfolded_tree(capsys, monkeypatch):
@@ -639,5 +651,51 @@ def test_mutated_documents_never_crash(fuzz_dir, kind):
             # exit 4 is a fault in jastit, never an answer to a document
             assert code in range(4), (command, doc, code, err.getvalue())
             assert "Traceback" not in err.getvalue(), (command, doc)
+
+    run()
+
+
+# each justification kind's own fields, drawn odd: negative, huge, boolean,
+# string, null, float, or missing
+_JUSTIFICATION_CLASSES = {
+    "axiom": Axiom, "mp": MP, "knec": KNec, "rd": RD, "rcs": RCS,
+    "boxnec": BoxNec, "cstitnec": CstitNec,
+}
+_ODD_VALUES = (-1, -(2 ** 63), 2 ** 63, 10 ** 30, True, False, "1", "", "A7",
+               None, 1.5, 0, 1, 2, 9)
+
+
+@st.composite
+def _mutated_justification(draw, kind):
+    """The every-kind proof with one block of the kind changed: one or two
+    of its fields (or a key of another kind) set to an odd value or
+    deleted."""
+    doc = every_kind_proof_doc()
+    just = draw(st.sampled_from([line["just"] for line in doc["lines"]
+                                 if line["just"]["kind"] == kind]))
+    names = [f.name for f in dataclasses.fields(_JUSTIFICATION_CLASSES[kind])]
+    names += ["i", "j", "agent", "scheme"]
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2)):
+        if draw(st.booleans()):
+            just[name] = draw(st.sampled_from(_ODD_VALUES))
+        else:
+            just.pop(name, None)
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(_JUSTIFICATION_CLASSES))
+def test_mutated_justification_fields_never_crash(fuzz_dir, kind):
+    path = str(fuzz_dir / f"{kind}.json")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mutated_justification(kind))
+    def run(doc):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in _COMMANDS["proof"]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, path])
+            assert code in (0, 1, 2), (command, doc, code, err.getvalue())
 
     run()

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 from typing import get_args
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from jastit.generators import random_formula, random_polynomial
 from jastit.syntax import (
+    AST_DUMP_MAX_NODES,
     And,
     Announced,
     App,
@@ -43,7 +45,9 @@ from jastit.syntax import (
     render_polynomial,
     subformulas,
     subpolynomials,
+    tree_size,
 )
+from oracles import naive_parse_formula, naive_parse_polynomial
 
 P, Q, R = PropVar("p"), PropVar("q"), PropVar("r")
 X, Y = ProofVar("x"), ProofVar("y")
@@ -173,6 +177,28 @@ def test_nesting_too_deep_is_a_parse_error():
     assert parse_formula(render(deepest)) == deepest
 
 
+def test_parentheses_nest_at_most_max_depth_deep():
+    # redundant parentheses add no node, so only their count bounds them
+    for parse, inner in ((parse_formula, "p"), (parse_polynomial, "x")):
+        assert parse("(" * MAX_DEPTH + inner + ")" * MAX_DEPTH) is parse(inner)
+        text = "(" * (MAX_DEPTH + 1) + inner + ")" * (MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match="more than 200 parentheses") as exc:
+            parse(text)
+        assert exc.value.pos == MAX_DEPTH
+    # formula and polynomial parentheses count together
+    half = MAX_DEPTH // 2
+    text = "(" * half + "E " + "(" * (half + 1) + "x" + ")" * (2 * half + 1)
+    with pytest.raises(ParseError, match="parentheses"):
+        parse_formula(text)
+
+
+def test_agent_index_too_large_is_a_parse_error():
+    # int() refuses more than a few thousand digits
+    with pytest.raises(ParseError, match="agent index too large") as exc:
+        parse_formula("~[" + "1" * 5000 + "] p")
+    assert exc.value.pos == 2
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -207,6 +233,91 @@ def test_seeded_ast_roundtrip():
         assert parse_formula(render(f)) == f
         t = random_polynomial(rng, depth=4)
         assert parse_polynomial(render_polynomial(t)) == t
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser against the backtracking parser it replaced
+
+_SOUP = ("p", "q", "x", "y", "c", "d1", "t'", "E", "K", "Box", "Dia", "top", "bot",
+         "~", "&", "|", "->", "<->", ":", "+", "*", "!", "(", ")", "[", "]", "0", "12",
+         "¬", "∧", "∨", "→", "↔", "□", "◇", "⊤", "⊥", "×")
+_EDIT_CHARS = "pqxcE K~&|-><:+*!()[]0 @¬∧∨→↔□◇⊤⊥×_'"
+_ATOMS = ("p", "q", "top", "⊥", "E x", "E c1 + !y", "E (x × y)")
+_PREFIXES = ("~", "¬", "Box ", "□", "Dia ", "◇", "K ", "[0] ", "[12]", "x : ", "c : ",
+             "!x : ", "(x + y) * z : ")
+_INFIXES = (" -> ", " <-> ", " | ", " & ", "→", "↔", "∨", "∧")
+
+
+# texts where a polynomial run before ':' is, or only nearly is, a proof
+# assertion
+_ASSERTION_EDGES = (
+    "x : p", "(x : p)", "(x) : p", "((x) + y) * z : p", "!(x : p)", "(!x : p)",
+    "x + : p", "+ x : p", "x y : p", "x ( y : p", "x) + (y : p", "(x + (y : p))",
+    "x * (y) : (x : p)", "E x : p", "top : p", "[0] x : p", "x : y : ~z : p",
+    "() : p", "(x)) : p", "((x) : p", "! : p", "x ! : p", "x * ! y : p",
+)
+
+
+def _surface_text(rng, depth):
+    """A formula in the surface syntax: both spellings of every operator,
+    sugar, redundant parentheses and bare infix chains."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return rng.choice(_ATOMS)
+    if roll < 0.45:
+        return rng.choice(_PREFIXES) + _surface_text(rng, depth - 1)
+    if roll < 0.6:
+        return "(" + _surface_text(rng, depth - 1) + ")"
+    return _surface_text(rng, depth - 1) + rng.choice(_INFIXES) + _surface_text(rng, depth - 1)
+
+
+def _differential_texts(rng, n):
+    """n texts, in turn a rendered term, a surface formula, a token soup,
+    and a surface or rendered formula with one character inserted or one
+    deleted."""
+    yield from _ASSERTION_EDGES
+    for k in range(n):
+        kind = k % 5
+        if kind == 0 and k % 10:
+            yield render_polynomial(random_polynomial(rng, depth=rng.randint(0, 4)))
+        elif kind == 0:
+            yield render(random_formula(rng, depth=rng.randint(1, 5)))
+        elif kind == 1:
+            yield _surface_text(rng, 4)
+        elif kind == 2:
+            tokens = (rng.choice(_SOUP) for _ in range(rng.randint(0, 12)))
+            yield rng.choice(("", " ")).join(tokens)
+        else:
+            text = (_surface_text(rng, 3) if k % 2
+                    else render(random_formula(rng, depth=rng.randint(1, 4))))
+            at = rng.randint(0, len(text))
+            if kind == 3:
+                yield text[:at] + rng.choice(_EDIT_CHARS) + text[at:]
+            else:
+                yield text[:at] + text[at + 1:]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return (str(e), e.pos, e.expected, e.text)
+
+
+def test_parser_agrees_with_backtracking_oracle():
+    rng = random.Random(2025)
+    parsed = failed = 0
+    for text in _differential_texts(rng, 20_000):
+        for parse, naive in ((parse_formula, naive_parse_formula),
+                             (parse_polynomial, naive_parse_polynomial)):
+            new, old = _outcome(parse, text), _outcome(naive, text)
+            if isinstance(old, tuple):
+                assert new == old, text
+                failed += 1
+            else:
+                assert new is old, text
+                parsed += 1
+    assert parsed > 10_000 and failed > 10_000
 
 
 _prop = st.sampled_from([P, Q, R])
@@ -346,9 +457,30 @@ def test_validation_runs_before_the_table():
 
 def test_subterm_walks_are_shared_not_unfolded():
     # n links of <-> unfold to about 2^n nodes but hold fewer than 6n
-    # distinct ones (asserted on counts: the repr of f unfolds it too)
+    # distinct ones
     f = parse_formula(" <-> ".join(["p"] * 40))
     subs = subformulas(f)
     count, last_is_f, cached = len(subs), subs[-1] is f, subformulas(f) is subs
     assert count < 6 * 40
     assert last_is_f and cached
+
+
+def test_repr_is_the_dataclass_form():
+    assert repr(parse_formula("[1] x : p & E !c")) == (
+        "And(left=Cstit(agent=1, arg=Proves(poly=ProofVar(name='x'), "
+        "arg=PropVar(name='p'))), right=Announced(poly=Check(arg=ProofConst(name='c'))))")
+
+
+def test_repr_of_a_shared_chain_is_bounded():
+    # 40 links unfold to about 2^42 nodes
+    f = parse_formula(" <-> ".join(["p"] * 40))
+    start = time.perf_counter()
+    text = repr(f)
+    assert time.perf_counter() - start < 0.5
+    assert text == f"<And of {tree_size(f)} unfolded nodes>"
+    assert tree_size(f) > 2 ** 40
+    # at the bound the term is still unfolded
+    g = parse_formula(" <-> ".join(["p"] * 12))
+    assert tree_size(g) <= AST_DUMP_MAX_NODES
+    assert repr(g).startswith("And(left=Not(arg=And(")
+    assert repr(g).count("(") == tree_size(g)
