@@ -35,24 +35,35 @@ def _as_index(at: Union[Index, tuple[str, str]]) -> Index:
 
 
 class _Evaluator:
-    """Recursive evaluator. And and [j] are cached per (moment, history,
+    """Recursive evaluator over truth vectors: bit v of sat(m, h, f) is the
+    truth of f at (m, h) under the v-th of a block of valuations that share
+    frame, act and evidence, and full has one bit per valuation. One model
+    is the one-bit case. And and [j] are cached per (moment, history,
     formula), and the history-independent Box, K and proof assertion per
     (moment, formula), so a subformula that f shares (as <-> shares its
     operands) is evaluated once per index, not once per path to it."""
 
-    def __init__(self, model: JstitModel):
-        self.model = model
-        self.frame = model.frame
-        self.memo: dict[tuple, bool] = {}
+    def __init__(self, frame: JstitFrame, act: dict, evidence_at, atoms: dict, full: int):
+        self.frame = frame
+        self.act = act
+        self.evidence_at = evidence_at
+        self.atoms = atoms  # (variable, moment, history) -> vector; absent is false
+        self.full = full
+        self.memo: dict[tuple, int] = {}
 
-    def sat(self, m: str, h: str, f: Formula) -> bool:
+    @classmethod
+    def of_model(cls, model: JstitModel) -> "_Evaluator":
+        atoms = {(p, m, h): 1 for p, pairs in model.valuation.items() for m, h in pairs}
+        return cls(model.frame, model.act, model.evidence_at, atoms, 1)
+
+    def sat(self, m: str, h: str, f: Formula) -> int:
         match f:
             case PropVar(name):
-                return (m, h) in self.model.val_at(name)
+                return self.atoms.get((name, m, h), 0)
             case Not(a):
-                return not self.sat(m, h, a)
+                return self.full ^ self.sat(m, h, a)
             case Announced(t):
-                return t in self.model.act_at(m, h)
+                return self.full if t in self.act[(m, h)] else 0
             case And() | Cstit():
                 key = (m, h, f)
             case Box() | Knows() | Proves():
@@ -64,28 +75,35 @@ class _Evaluator:
             hit = self.memo[key] = self._sat_cached(m, h, f)
         return hit
 
-    def _sat_cached(self, m: str, h: str, f: Formula) -> bool:
+    def _sat_cached(self, m: str, h: str, f: Formula) -> int:
         match f:
             case And(a, b):
-                return self.sat(m, h, a) and self.sat(m, h, b)
+                left = self.sat(m, h, a)
+                return left and left & self.sat(m, h, b)
             case Cstit(j, a):
-                cell = self.frame.choice_cell(m, j, h)
-                return all(self.sat(m, g, a) for g in cell)
+                return self._all(((m, g) for g in self.frame.choice_cell(m, j, h)), a)
             case Box(a):
-                return all(self.sat(m, g.name, a) for g in self.frame.histories_through(m))
+                return self._all(((m, g.name) for g in self.frame.histories_through(m)), a)
             case Knows(a):
-                return self._everywhere_reachable(self.frame.r, m, a)
+                return self._all(self._reachable(self.frame.r, m), a)
             case Proves(t, a):
-                return ev_contains(self.model.evidence_at(m, t), a) and \
-                    self._everywhere_reachable(self.frame.re, m, a)
+                if not ev_contains(self.evidence_at(m, t), a):
+                    return 0
+                return self._all(self._reachable(self.frame.re, m), a)
 
-    def _everywhere_reachable(self, rel, m: str, a: Formula) -> bool:
+    def _all(self, pairs, a: Formula) -> int:
+        out = self.full
+        for m, h in pairs:
+            out &= self.sat(m, h, a)
+            if not out:
+                break
+        return out
+
+    def _reachable(self, rel, m: str):
         for m2 in self.frame.moments:
             if (m, m2) in rel:
                 for g in self.frame.histories_through(m2):
-                    if not self.sat(m2, g.name, a):
-                        return False
-        return True
+                    yield m2, g.name
 
 
 def satisfies(model: JstitModel, at: Union[Index, tuple[str, str]], f: Formula) -> bool:
@@ -101,19 +119,27 @@ def satisfies(model: JstitModel, at: Union[Index, tuple[str, str]], f: Formula) 
         raise DocumentError(f"unknown history {at.history!r}") from None
     if at.moment not in h:
         raise DocumentError(f"history {at.history!r} does not pass through {at.moment!r}")
-    return _Evaluator(model).sat(at.moment, at.history, f)
+    return bool(_Evaluator.of_model(model).sat(at.moment, at.history, f))
 
 
 def valid_in_model(model: JstitModel, f: Formula) -> tuple[bool, Optional[Index]]:
     """Truth at every moment-history pair; first failing pair in canonical order."""
     model.ensure_in_universe(f)
     check_agents(f, model.frame.agents)
-    bad = _first_falsifying(model, f)
-    return bad is None, bad
+    ev = _Evaluator.of_model(model)
+    for m, h in model.mh_pairs():
+        if not ev.sat(m, h, f):
+            return False, Index(m, h)
+    return True, None
 
 
 # ---------------------------------------------------------------------------
 # bounded counter-model search
+
+# valuations evaluated at once, a power of two: the widest truth vector
+# the search builds
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SearchBounds:
@@ -128,10 +154,13 @@ class SearchBounds:
     candidates have been inspected without an answer.
 
     A candidate is one (frame, act, valuation) triple that the search
-    visits, counted in enumeration order. Model validity does not depend on
-    the valuation, so each whiteboard assignment is validated once; when it
-    is rejected, all of its valuations are counted as inspected without
-    being built. Candidates skipped because f cannot tell them from an
+    visits, counted in enumeration order. The valuations of an act are
+    evaluated together, in blocks of at most 2^16, but still count one
+    candidate each, up to and including the counter-model's. Model validity
+    reads neither the valuation nor the choice map nor r, so one verdict per
+    act serves every choice map and every r that share its re; a rejected
+    act counts all of its valuations as inspected on every visit, without
+    any being built. Candidates skipped because f cannot tell them from an
     earlier one are not counted.
 
     max_moments, max_histories, agents and budget must be positive integers,
@@ -218,6 +247,15 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     skipped candidate gives f the same verdict at every index as one visited
     before it, so the first counter-model is the one a full enumeration
     finds.
+
+    The valuations of a valid act are numbered (cell i of the variables of
+    f times the moment-history pairs holds under valuation v iff bit i of v
+    is set) and evaluated in blocks of at most 2^16, a block never reaching
+    past the budget. The truth of a subformula at an index is one int whose
+    bit v is its truth under valuation v, so one evaluation settles a block.
+    The first counter-model is the lowest valuation falsifying f at some
+    index, taken at its first such index in mh_pairs order, and only that
+    model is built.
     """
     check_agents(f, bounds.agents)
     universe = Universe.close(formulas=[f])
@@ -229,6 +267,10 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     reads_re = bool(announced) or any(isinstance(g, Proves) for g in parts)
     pvars = sorted(prop_vars(f))
     default = EVERYTHING if bounds.evidence_mode == "everything" else frozenset()
+
+    def evidence_at(m: str, t):
+        return default
+
     inspected = 0
 
     def spend(k: int) -> None:
@@ -273,27 +315,60 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
             class_key = {
                 (m, hname): (m, _class_of(base, m, hname)) for m, hname in mh
             }
-            valuation_count = 1 << (len(pvars) * len(mh))
+            # valuation v makes cell i true iff bit i of v is set
+            cells = [(p, pair) for p in pvars for pair in mh]
+            valuation_count = 1 << len(cells)
+            # width divides valuation_count, so only the budget cuts a block
+            # short, and every block starts at a multiple of width
+            width = min(_BLOCK, valuation_count)
+            full = (1 << width) - 1
+            low = _low_bit_vectors(width)
+            atom_tables: dict[int, dict] = {}
+
+            def atoms_at(lo: int) -> dict:
+                """Truth vectors of the atoms over the block starting at lo;
+                the bits past the low ones are constant within a block."""
+                table = atom_tables.get(lo)
+                if table is None:
+                    table = atom_tables[lo] = {
+                        (p, m, h): low[i] if i < len(low) else full if lo >> i & 1 else 0
+                        for i, (p, (m, h)) in enumerate(cells)}
+                return table
+
+            # validate_model reads the order, re and evidence of a frame but
+            # never its choice map or r, and the act enumeration is the same
+            # for every frame on the tree, so one verdict per (re, position)
+            verdicts_by_re: dict[frozenset, list[bool]] = {}
 
             for choice in joint_choices:
                 for r, re in rel_pairs.values():
                     frame = JstitFrame(moments, edges, agents=bounds.agents,
                                        choice=choice, r=r, re=re)
-                    for act in _act_assignments(slots, parent_slot, announced):
+                    verdicts = verdicts_by_re.setdefault(re, [])
+                    for pos, act in enumerate(_act_assignments(slots, parent_slot, announced)):
                         act_map = {pair: act[class_key[pair]] for pair in mh}
-                        # validation never reads the valuation, so one check
-                        # per act settles all of its valuations at once
-                        if violations(validate_model(JstitModel(
-                                frame, universe, act_map, evidence_default=default))):
+                        if pos == len(verdicts):
+                            verdicts.append(not violations(validate_model(JstitModel(
+                                frame, universe, act_map, evidence_default=default))))
+                        if not verdicts[pos]:
                             spend(valuation_count)
                             continue
-                        for val in _valuations(pvars, mh):
-                            spend(1)
-                            model = JstitModel(frame, universe, act_map, {}, val,
-                                               evidence_default=default)
-                            bad = _first_falsifying(model, f)
-                            if bad is not None:
-                                return model, bad
+                        for lo in range(0, valuation_count, width):
+                            block = min(width, bounds.budget - inspected + 1)
+                            ev = _Evaluator(frame, act_map, evidence_at, atoms_at(lo), full)
+                            bad = 0
+                            for m, h in mh:
+                                bad |= full ^ ev.sat(m, h, f)
+                            bad &= (1 << block) - 1
+                            if not bad:
+                                spend(block)
+                                continue
+                            v = (bad & -bad).bit_length() - 1
+                            spend(v + 1)
+                            at = next(Index(m, h) for m, h in mh if not ev.sat(m, h, f) >> v & 1)
+                            return JstitModel(frame, universe, act_map, {},
+                                              _valuation(cells, lo + v),
+                                              evidence_default=default), at
     return None
 
 
@@ -355,19 +430,21 @@ def _act_assignments(slots, parent_slot, polys) -> Iterator[dict]:
     yield from rec(0, {})
 
 
-def _valuations(pvars: list[str], mh: list[tuple[str, str]]) -> Iterator[dict]:
-    cells = [(p, pair) for p in pvars for pair in mh]
-    for mask in range(1 << len(cells)):
-        val: dict[str, set] = {p: set() for p in pvars}
-        for i, (p, pair) in enumerate(cells):
-            if mask >> i & 1:
-                val[p].add(pair)
-        yield {p: frozenset(v) for p, v in val.items()}
+def _low_bit_vectors(width: int) -> list[int]:
+    """For a power of two width, vector i has bit v set iff bit i of v is."""
+    out = []
+    step = 1
+    while step < width:
+        ones_every_period = ((1 << width) - 1) // ((1 << 2 * step) - 1)
+        out.append(ones_every_period * (((1 << step) - 1) << step))
+        step *= 2
+    return out
 
 
-def _first_falsifying(model: JstitModel, f: Formula) -> Optional[Index]:
-    ev = _Evaluator(model)
-    for m, h in model.mh_pairs():
-        if not ev.sat(m, h, f):
-            return Index(m, h)
-    return None
+def _valuation(cells: list[tuple[str, tuple[str, str]]], number: int) -> dict:
+    """The valuation numbered number: cell i holds iff bit i is set."""
+    val: dict[str, set] = {p: set() for p, _ in cells}
+    for i, (p, pair) in enumerate(cells):
+        if number >> i & 1:
+            val[p].add(pair)
+    return val

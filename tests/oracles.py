@@ -5,7 +5,8 @@ sweep over a finite structure.  Nothing is shared with the package
 implementations beyond raw input data (moment sets, the ordering relation,
 the choice partition, act/evidence/valuation tables), so agreement between
 the two is meaningful evidence rather than a tautology; the one exception is
-naive_find_countermodel, which shares the search's enumerators on purpose.
+naive_find_countermodel, which shares the search's enumerators of trees,
+choice maps and acts on purpose.
 These are slow on purpose; keep the structures they are fed small. The
 parsers at the end are the package's earlier backtracking parser, kept as
 the referee of the one-pass parser that replaced it.
@@ -333,14 +334,30 @@ def naive_preorders(moments, leq: frozenset) -> set[frozenset]:
     return out
 
 
+def _valuations(pvars: list[str], mh: list[tuple[str, str]]):
+    """Every valuation of pvars over the pairs mh, in the search's order:
+    the v-th makes cell i of [(p, pair) for p in pvars for pair in mh]
+    true iff bit i of v is set."""
+    cells = [(p, pair) for p in pvars for pair in mh]
+    for mask in range(1 << len(cells)):
+        val: dict[str, set] = {p: set() for p in pvars}
+        for i, (p, pair) in enumerate(cells):
+            if mask >> i & 1:
+                val[p].add(pair)
+        yield {p: frozenset(v) for p, v in val.items()}
+
+
 def naive_find_countermodel(f: Formula, bounds):
     """find_countermodel with every candidate built and validated in turn.
 
-    Unlike the other oracles this one reuses the package's enumerators: it
-    referees the bookkeeping of the search (which candidates are skipped and
-    how the budget counts them), not the enumeration order. Returns the
-    outcome, a (model, index) pair, None, or the ResourceBoundExceeded the
-    search raises, together with the number of candidates inspected.
+    It referees the bookkeeping of the search (which candidates are
+    skipped and how the budget counts them), so it shares the package's
+    enumerators of trees, choice maps and acts, which fix the enumeration
+    order. Relation pairs come from naive_preorders, valuations from
+    _valuations, and each candidate is evaluated with naive_satisfies at
+    every index in mh_pairs order. Returns the outcome, a (model, index)
+    pair, None, or the ResourceBoundExceeded the search raises, together
+    with the number of candidates inspected.
     """
     universe = Universe.close(formulas=[f])
     polys = sorted(universe.polynomials, key=render_polynomial)
@@ -362,14 +379,15 @@ def naive_find_countermodel(f: Formula, bounds):
                 parent_slot[(m, cls)] = None if up is None else next(
                     (up, c) for c in base.undivided_classes(up) if min(cls) in c)
             mh = [(m, h.name) for m in base.moments for h in base.histories_through(m)]
+            pres = sorted(naive_preorders(base.moments, base.leq), key=sorted)
             for choice in semantics._joint_choice_options(base):
-                for r, re in semantics._relation_pairs(base):
+                for r, re in [(r, re) for r in pres for re in pres if r <= re]:
                     frame = JstitFrame(moments, edges, agents=bounds.agents,
                                        choice=choice, r=r, re=re)
                     for act in semantics._act_assignments(slots, parent_slot, polys):
                         act_map = {(m, h): act[(m, semantics._class_of(base, m, h))]
                                    for m, h in mh}
-                        for val in semantics._valuations(pvars, mh):
+                        for val in _valuations(pvars, mh):
                             inspected += 1
                             if inspected > bounds.budget:
                                 return ResourceBoundExceeded(
@@ -379,7 +397,8 @@ def naive_find_countermodel(f: Formula, bounds):
                                                evidence_default=default)
                             if violations(validate_model(model)):
                                 continue
-                            bad = semantics._first_falsifying(model, f)
+                            bad = next((semantics.Index(m, h) for m, h in model.mh_pairs()
+                                        if not naive_satisfies(model, m, h, f)), None)
                             if bad is not None:
                                 return (model, bad), inspected
     return None, inspected

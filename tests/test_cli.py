@@ -436,6 +436,14 @@ def test_search_budget_stops_before_all_whiteboard_subsets(capsys):
     assert "resource bound exceeded" in capsys.readouterr().err
 
 
+def test_search_budget_stops_before_all_valuations(capsys):
+    # 2^40 valuations at the one moment: only the first block is evaluated
+    lhs = " & ".join(f"p{i}" for i in range(40))
+    assert main(["search", "--formula", f"{lhs} -> p0",
+                 "--budget", "1", "--max-moments", "1"]) == 3
+    assert "resource bound exceeded" in capsys.readouterr().err
+
+
 def test_search_stops_at_the_five_moment_star(capsys):
     # the first five-moment tree is the star, whose preorders have 16 free
     # pairs; with one history only the chain (10 free pairs) is searched

@@ -153,6 +153,30 @@ def test_satisfies_agrees_with_reference():
     assert checked > 400
 
 
+def test_truth_vectors_agree_with_reference_bit_by_bit():
+    # bit v of a truth vector is the truth under the v-th valuation of p and
+    # q over the first two moment-history pairs, as the search numbers them
+    rng = random.Random(53)
+    for i in range(6):
+        frame = random_jstit_frame(rng, rng.randint(2, 4), dense_p=0.2,
+                                   r_extra=i % 2, re_extra=i % 2)
+        model = random_model(rng, frame, explicit_evidence=(i % 3 == 0))
+        probes = [random_formula(rng, depth=3, prop_names=("p", "q")) for _ in range(4)]
+        wide = _widen(model, probes)
+        cells = [(p, pair) for p in ("p", "q") for pair in wide.mh_pairs()[:2]]
+        width = 1 << len(cells)
+        atoms = {(p, m, h): vector for (p, (m, h)), vector
+                 in zip(cells, semantics._low_bit_vectors(width))}
+        ev = semantics._Evaluator(frame, wide.act, wide.evidence_at, atoms, (1 << width) - 1)
+        for v in range(width):
+            one = JstitModel(frame, wide.universe, wide.act, dict(wide.evidence),
+                             semantics._valuation(cells, v), wide.evidence_default)
+            for f in probes:
+                for m, h in one.mh_pairs():
+                    assert bool(ev.sat(m, h, f) >> v & 1) == naive_satisfies(one, m, h, f), \
+                        (render(f), v, m, h)
+
+
 # ---------------------------------------------------------------------------
 # bounded search
 
@@ -284,6 +308,22 @@ def test_search_agrees_with_per_candidate_oracle():
                 bounds = SearchBounds(max_moments=moments, evidence_mode=mode,
                                       agents=agents)
                 assert _agrees_with_oracle(parse_formula(text), bounds) != "bound"
+
+
+def test_search_agrees_with_oracle_across_valuation_blocks(monkeypatch):
+    # with blocks of 4 valuations, the three-moment star's 256 valuations
+    # span 64 blocks; the two-moment chain spends candidates 5-20, the
+    # star's first counter-models are candidates 38 and 39, and the budgets
+    # stop inside a block, at its last valuation or one past it
+    monkeypatch.setattr(semantics, "_BLOCK", 4)
+    kinds = set()
+    for text in ("p & q -> Box p", "Box (p | q) -> Box p | Box q"):
+        for mode in ("everything", "empty"):
+            for budget in (6, 21, 24, 25, 37, 38, 39):
+                bounds = SearchBounds(max_moments=3, evidence_mode=mode, agents=1,
+                                      budget=budget)
+                kinds.add(_agrees_with_oracle(parse_formula(text), bounds))
+    assert kinds == {"model", "bound"}
 
 
 def test_relation_pairs_agree_with_naive_preorders():
