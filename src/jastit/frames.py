@@ -353,9 +353,15 @@ def validate_frame(frame: Frame) -> list[Diagnostic]:
             if len(members) != len(set(members)) or set(members) != h_m:
                 bad("choice-partition",
                     f"Choice^{m}_{j} cells do not partition H_{m}", (m, j))
+        # the one-cell partition of an agent without an entry at m never
+        # splits undivided histories and meets every cell, so only agents
+        # with entries are checked
+        entries: dict[str, list[int]] = {}
+        for m, j in sorted(frame.choice):
+            entries.setdefault(m, []).append(j)
         for m in ms:
             hs = frame.histories_through(m)
-            for j in range(frame.agents):
+            for j in entries.get(m, ()):
                 for h, g in itertools.combinations(hs, 2):
                     if frame.undivided_at(m, h, g):
                         try:
@@ -366,9 +372,9 @@ def validate_frame(frame: Frame) -> list[Diagnostic]:
                             bad("choice-undivided",
                                 f"{h.name} and {g.name} are undivided at {m} but split by agent {j}",
                                 (m, j, h.name, g.name))
-            cell_lists = [frame.choice_cells(m, j) for j in range(frame.agents)]
+            cell_lists = [frame.choice_cells(m, j) for j in entries.get(m, ())]
             for combo in itertools.product(*cell_lists):
-                if not frozenset.intersection(*combo):
+                if combo and not frozenset.intersection(*combo):
                     bad("choice-independence",
                         f"agents admit no joint choice at {m}", (m,) + tuple(sorted(map(sorted, combo), key=str)))
                     break

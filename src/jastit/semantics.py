@@ -183,10 +183,7 @@ class SearchBounds:
 
 
 def _parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield ()
-        return
-    yield from itertools.product(*(range(i) for i in range(1, n)))
+    return itertools.product(*(range(i) for i in range(1, n)))
 
 
 def _subsets_of(items: list) -> Iterator[frozenset]:
@@ -210,16 +207,25 @@ def _set_partitions(items: tuple) -> list[tuple[frozenset, ...]]:
     return sorted(out, key=lambda p: (len(p), tuple(sorted(map(sorted, p)))))
 
 
-def _preorders_over(moments: tuple[str, ...], leq: frozenset) -> list[frozenset]:
-    extras = [
-        (a, b) for a in moments for b in moments
-        if a != b and (a, b) not in leq
-    ]
-    if len(extras) > 12:
-        raise ResourceBoundExceeded(
-            f"preorder enumeration over {len(extras)} free pairs exceeds the cost model")
-    found = _closed_sets(leq, extras, lambda s: _closure(moments, s), lambda s: True)
-    return sorted(found, key=sorted)
+def _trees(bounds: SearchBounds) -> Iterator[tuple]:
+    """Each rooted tree on moments m0..mN-1 within the bounds: its moments,
+    edges, base frame, slot parents and moment-history pairs. Slot parents
+    map each slot (a moment and one of its undivided classes), in
+    construction order, to the slot above it, or to None at the root."""
+    for n in range(1, bounds.max_moments + 1):
+        for parents in _parent_vectors(n):
+            moments = [f"m{i}" for i in range(n)]
+            edges = [(moments[p], moments[i + 1]) for i, p in enumerate(parents)]
+            base = JstitFrame(moments, edges, agents=bounds.agents)
+            if len(base.histories) > bounds.max_histories:
+                continue
+            through = {m: [h.name for h in base.histories_through(m)] for m in moments}
+            # the class above m's slots holds the histories through m: a
+            # history sharing a moment after m's parent with one passes m
+            up = {m: (p, frozenset(through[m])) for p, m in edges}
+            parent_slot = {(m, cls): up.get(m)
+                           for m in moments for cls in base.undivided_classes(m)}
+            yield moments, edges, base, parent_slot, [(m, h) for m in moments for h in through[m]]
 
 
 def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
@@ -232,6 +238,14 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     always are), and whose evidence function is constantly Everything (mode
     "everything") or constantly empty (mode "empty"). A None result means no
     counter-model exists in that class within the bounds.
+
+    The enumeration has four layers, each nested in the one before:
+      - trees (_trees), which do not depend on f;
+      - frames on a tree: choice maps (_joint_choice_options) times
+        relation pairs (_relation_pairs);
+      - acts on a frame (_act_assignments), each validated once per tree,
+        re and position in the enumeration;
+      - valuations of a valid act, decided a block at a time.
 
     Only the parts of a model that f can read are enumerated (its cone of
     influence). Acts range over the polynomials f announces: every act
@@ -277,106 +291,69 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
         nonlocal inspected
         inspected += k
         if inspected > bounds.budget:
+            n = len(moments)
             raise ResourceBoundExceeded(
                 f"counter-model search exceeded budget of {bounds.budget} candidates"
                 f" (at {n} moment{'' if n == 1 else 's'})")
 
-    for n in range(1, bounds.max_moments + 1):
-        for parents in _parent_vectors(n):
-            moments = [f"m{i}" for i in range(n)]
-            edges = [(moments[p], moments[i + 1]) for i, p in enumerate(parents)]
-            base = JstitFrame(moments, edges, agents=bounds.agents)
-            if len(base.histories) > bounds.max_histories:
-                continue
+    for moments, edges, base, parent_slot, mh in _trees(bounds):
+        joint_choices = _joint_choice_options(base)
+        if not reads_choice:
+            joint_choices = joint_choices[:1]
+        rel_pairs = _relation_pairs(base, reads_r, reads_re)
+        # valuation v makes cell i true iff bit i of v is set
+        cells = [(p, pair) for p in pvars for pair in mh]
+        valuation_count = 1 << len(cells)
+        # width divides valuation_count, so only the budget cuts a block
+        # short, and every block starts at a multiple of width
+        width = min(_BLOCK, valuation_count)
+        full = (1 << width) - 1
+        low = _low_bit_vectors(width)
+        atom_tables: dict[int, dict] = {}
 
-            # slots in construction order so each parent slot precedes its children
-            slots = [(m, cls) for m in moments for cls in base.undivided_classes(m)]
-            parent_slot: dict[tuple, Optional[tuple]] = {}
-            parent_of = dict((moments[i + 1], moments[p]) for i, p in enumerate(parents))
-            for m, cls in slots:
-                up = parent_of.get(m)
-                if up is None:
-                    parent_slot[(m, cls)] = None
-                else:
-                    member = sorted(cls)[0]
-                    for cls2 in base.undivided_classes(up):
-                        if member in cls2:
-                            parent_slot[(m, cls)] = (up, cls2)
-                            break
+        def atoms_at(lo: int) -> dict:
+            """Truth vectors of the atoms over the block starting at lo;
+            the bits past the low ones are constant within a block."""
+            table = atom_tables.get(lo)
+            if table is None:
+                table = atom_tables[lo] = {
+                    (p, m, h): low[i] if i < len(low) else full if lo >> i & 1 else 0
+                    for i, (p, (m, h)) in enumerate(cells)}
+            return table
 
-            joint_choices = _joint_choice_options(base)
-            if not reads_choice:
-                joint_choices = joint_choices[:1]
-            rel_pairs = {}
-            for r, re in _relation_pairs(base):
-                rel_pairs.setdefault((r if reads_r else None, re if reads_re else None),
-                                     (r, re))
-            mh = [(m, h.name) for m in base.moments for h in base.histories_through(m)]
-            class_key = {
-                (m, hname): (m, _class_of(base, m, hname)) for m, hname in mh
-            }
-            # valuation v makes cell i true iff bit i of v is set
-            cells = [(p, pair) for p in pvars for pair in mh]
-            valuation_count = 1 << len(cells)
-            # width divides valuation_count, so only the budget cuts a block
-            # short, and every block starts at a multiple of width
-            width = min(_BLOCK, valuation_count)
-            full = (1 << width) - 1
-            low = _low_bit_vectors(width)
-            atom_tables: dict[int, dict] = {}
-
-            def atoms_at(lo: int) -> dict:
-                """Truth vectors of the atoms over the block starting at lo;
-                the bits past the low ones are constant within a block."""
-                table = atom_tables.get(lo)
-                if table is None:
-                    table = atom_tables[lo] = {
-                        (p, m, h): low[i] if i < len(low) else full if lo >> i & 1 else 0
-                        for i, (p, (m, h)) in enumerate(cells)}
-                return table
-
-            # validate_model reads the order, re and evidence of a frame but
-            # never its choice map or r, and the act enumeration is the same
-            # for every frame on the tree, so one verdict per (re, position)
-            verdicts_by_re: dict[frozenset, list[bool]] = {}
-
-            for choice in joint_choices:
-                for r, re in rel_pairs.values():
-                    frame = JstitFrame(moments, edges, agents=bounds.agents,
-                                       choice=choice, r=r, re=re)
-                    verdicts = verdicts_by_re.setdefault(re, [])
-                    for pos, act in enumerate(_act_assignments(slots, parent_slot, announced)):
-                        act_map = {pair: act[class_key[pair]] for pair in mh}
-                        if pos == len(verdicts):
-                            verdicts.append(not violations(validate_model(JstitModel(
-                                frame, universe, act_map, evidence_default=default))))
-                        if not verdicts[pos]:
-                            spend(valuation_count)
+        # validate_model reads the order, re and evidence of a frame but
+        # never its choice map or r, and the act enumeration is the same
+        # for every frame on the tree, so one verdict per (re, position)
+        verdicts_by_re: dict[frozenset, list[bool]] = {}
+        for choice in joint_choices:
+            for r, re in rel_pairs:
+                frame = JstitFrame(moments, edges, agents=bounds.agents,
+                                   choice=choice, r=r, re=re)
+                verdicts = verdicts_by_re.setdefault(re, [])
+                for pos, act in enumerate(_act_assignments(parent_slot, announced)):
+                    if pos == len(verdicts):
+                        verdicts.append(not violations(validate_model(JstitModel(
+                            frame, universe, act, evidence_default=default))))
+                    if not verdicts[pos]:
+                        spend(valuation_count)
+                        continue
+                    for lo in range(0, valuation_count, width):
+                        block = min(width, bounds.budget - inspected + 1)
+                        ev = _Evaluator(frame, act, evidence_at, atoms_at(lo), full)
+                        bad = 0
+                        for m, h in mh:
+                            bad |= full ^ ev.sat(m, h, f)
+                        bad &= (1 << block) - 1
+                        if not bad:
+                            spend(block)
                             continue
-                        for lo in range(0, valuation_count, width):
-                            block = min(width, bounds.budget - inspected + 1)
-                            ev = _Evaluator(frame, act_map, evidence_at, atoms_at(lo), full)
-                            bad = 0
-                            for m, h in mh:
-                                bad |= full ^ ev.sat(m, h, f)
-                            bad &= (1 << block) - 1
-                            if not bad:
-                                spend(block)
-                                continue
-                            v = (bad & -bad).bit_length() - 1
-                            spend(v + 1)
-                            at = next(Index(m, h) for m, h in mh if not ev.sat(m, h, f) >> v & 1)
-                            return JstitModel(frame, universe, act_map, {},
-                                              _valuation(cells, lo + v),
-                                              evidence_default=default), at
+                        v = (bad & -bad).bit_length() - 1
+                        spend(v + 1)
+                        at = next(Index(m, h) for m, h in mh if not ev.sat(m, h, f) >> v & 1)
+                        return JstitModel(frame, universe, act, {},
+                                          _valuation(cells, lo + v),
+                                          evidence_default=default), at
     return None
-
-
-def _class_of(frame: JstitFrame, m: str, hname: str) -> frozenset:
-    for cls in frame.undivided_classes(m):
-        if hname in cls:
-            return cls
-    raise AssertionError(f"{hname} missing from classes at {m}")
 
 
 def _joint_choice_options(base: JstitFrame) -> list[dict]:
@@ -408,24 +385,41 @@ def _joint_choice_options(base: JstitFrame) -> list[dict]:
     return out
 
 
-def _relation_pairs(base: JstitFrame) -> list[tuple[frozenset, frozenset]]:
-    pres = _preorders_over(base.moments, base.leq)
-    return [(r, re) for r in pres for re in pres if r <= re]
+def _relation_pairs(base: JstitFrame, reads_r: bool = True, reads_re: bool = True
+                    ) -> list[tuple[frozenset, frozenset]]:
+    """The pairs r <= re of preorders containing the order, r-major, keeping
+    the first pair per value of what f reads of them: r when reads_r, re
+    when reads_re."""
+    extras = [(a, b) for a in base.moments for b in base.moments
+              if a != b and (a, b) not in base.leq]
+    if len(extras) > 12:
+        raise ResourceBoundExceeded(
+            f"preorder enumeration over {len(extras)} free pairs exceeds the cost model")
+    pres = sorted(_closed_sets(base.leq, extras, lambda s: _closure(base.moments, s),
+                               lambda s: True), key=sorted)
+    pairs: dict[tuple, tuple[frozenset, frozenset]] = {}
+    for r in pres:
+        for re in pres:
+            if r <= re:
+                pairs.setdefault((r if reads_r else None, re if reads_re else None), (r, re))
+    return list(pairs.values())
 
 
-def _act_assignments(slots, parent_slot, polys) -> Iterator[dict]:
+def _act_assignments(parent_slot: dict, polys: list) -> Iterator[dict]:
+    """Every act keyed by moment-history pair that is constant on each slot
+    and holds at every slot its parent slot's polynomials: the first slot
+    outermost, each slot's additions over its parent's smallest first."""
+    slots = list(parent_slot)
+
     def rec(i: int, acc: dict) -> Iterator[dict]:
         if i == len(slots):
-            yield dict(acc)
+            yield {(m, h): acc[(m, cls)] for m, cls in slots for h in cls}
             return
-        slot = slots[i]
-        up = parent_slot[slot]
+        up = parent_slot[slots[i]]
         floor = acc[up] if up is not None else frozenset()
-        rest = [t for t in polys if t not in floor]
-        for extra in _subsets_of(rest):
-            acc[slot] = floor | extra
+        for extra in _subsets_of([t for t in polys if t not in floor]):
+            acc[slots[i]] = floor | extra
             yield from rec(i + 1, acc)
-        del acc[slot]
 
     yield from rec(0, {})
 

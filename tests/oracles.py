@@ -5,8 +5,9 @@ sweep over a finite structure.  Nothing is shared with the package
 implementations beyond raw input data (moment sets, the ordering relation,
 the choice partition, act/evidence/valuation tables), so agreement between
 the two is meaningful evidence rather than a tautology; the one exception is
-naive_find_countermodel, which shares the search's enumerators of trees,
-choice maps and acts on purpose.
+naive_find_countermodel, which shares the search's enumerator of choice maps
+(semantics._joint_choice_options), refereed on its own by brute force over
+every choice table.
 These are slow on purpose; keep the structures they are fed small. The
 parsers at the end are the package's earlier backtracking parser, kept as
 the referee of the one-pass parser that replaced it.
@@ -334,6 +335,52 @@ def naive_preorders(moments, leq: frozenset) -> set[frozenset]:
     return out
 
 
+def naive_partitions(items) -> set[frozenset]:
+    """Every partition of items into cells: each labelling of the items by
+    cell numbers, grouped by label."""
+    out = set()
+    for labels in itertools.product(range(len(items)), repeat=len(items)):
+        out.add(frozenset(frozenset(x for x, k in zip(items, labels) if k == label)
+                          for label in set(labels)))
+    return out
+
+
+def naive_slots(frame) -> dict:
+    """Each slot of a tree frame, a moment with a class of the histories
+    through it that pairwise share a later moment, mapped to the slot above
+    it: the class at the moment's immediate predecessor that holds the
+    slot's histories, or None at the root. Slots come in the search's
+    order, by moment and then by the sorted members of the class."""
+    hsets = _history_sets(frame)
+
+    def classes(m: str) -> list[frozenset]:
+        names = [n for n, s in hsets.items() if m in s]
+        return sorted({frozenset(g for g in names if g == h
+                                 or naive_undivided(frame, m, hsets[h], hsets[g]))
+                       for h in names}, key=sorted)
+
+    out = {}
+    for m in frame.moments:
+        up = [a for a in frame.moments if naive_lt(frame.leq, a, m)
+              and not naive_between(frame.leq, frame.moments, a, m)]
+        for cls in classes(m):
+            out[(m, cls)] = next(((a, c) for a in up for c in classes(a) if cls <= c), None)
+    return out
+
+
+def naive_acts(slots: dict, polys: list):
+    """Every act constant on each slot, by brute force: one subset of polys
+    per slot, smallest first and the first slot outermost, kept when no
+    slot lacks a proof that its parent slot has. Acts are maps from
+    moment-history pairs."""
+    subsets = [frozenset(c) for k in range(len(polys) + 1)
+               for c in itertools.combinations(polys, k)]
+    for picks in itertools.product(subsets, repeat=len(slots)):
+        act = dict(zip(slots, picks))
+        if all(up is None or act[up] <= act[slot] for slot, up in slots.items()):
+            yield {(m, h): ts for (m, cls), ts in act.items() for h in cls}
+
+
 def _valuations(pvars: list[str], mh: list[tuple[str, str]]):
     """Every valuation of pvars over the pairs mh, in the search's order:
     the v-th makes cell i of [(p, pair) for p in pvars for pair in mh]
@@ -351,13 +398,15 @@ def naive_find_countermodel(f: Formula, bounds):
     """find_countermodel with every candidate built and validated in turn.
 
     It referees the bookkeeping of the search (which candidates are
-    skipped and how the budget counts them), so it shares the package's
-    enumerators of trees, choice maps and acts, which fix the enumeration
-    order. Relation pairs come from naive_preorders, valuations from
-    _valuations, and each candidate is evaluated with naive_satisfies at
-    every index in mh_pairs order. Returns the outcome, a (model, index)
-    pair, None, or the ResourceBoundExceeded the search raises, together
-    with the number of candidates inspected.
+    skipped and how the budget counts them) over the full enumeration, in
+    the search's order: trees from parent vectors, slots from naive_slots,
+    the search's choice maps (semantics._joint_choice_options), relation
+    pairs from naive_preorders, acts over every polynomial of the universe
+    from naive_acts and valuations from _valuations. Each candidate is
+    evaluated with naive_satisfies at every index in mh_pairs order.
+    Returns the outcome, a (model, index) pair, None, or the
+    ResourceBoundExceeded the search raises, together with the number of
+    candidates inspected.
     """
     universe = Universe.close(formulas=[f])
     polys = sorted(universe.polynomials, key=render_polynomial)
@@ -365,35 +414,27 @@ def naive_find_countermodel(f: Formula, bounds):
     default = EVERYTHING if bounds.evidence_mode == "everything" else frozenset()
     inspected = 0
     for n in range(1, bounds.max_moments + 1):
-        for parents in semantics._parent_vectors(n):
+        for parents in itertools.product(*(range(i) for i in range(1, n))):
             moments = [f"m{i}" for i in range(n)]
             edges = [(moments[p], moments[i + 1]) for i, p in enumerate(parents)]
             base = JstitFrame(moments, edges, agents=bounds.agents)
             if len(base.histories) > bounds.max_histories:
                 continue
-            slots = [(m, cls) for m in moments for cls in base.undivided_classes(m)]
-            parent_of = {moments[i + 1]: moments[p] for i, p in enumerate(parents)}
-            parent_slot = {}
-            for m, cls in slots:
-                up = parent_of.get(m)
-                parent_slot[(m, cls)] = None if up is None else next(
-                    (up, c) for c in base.undivided_classes(up) if min(cls) in c)
+            slots = naive_slots(base)
             mh = [(m, h.name) for m in base.moments for h in base.histories_through(m)]
             pres = sorted(naive_preorders(base.moments, base.leq), key=sorted)
             for choice in semantics._joint_choice_options(base):
                 for r, re in [(r, re) for r in pres for re in pres if r <= re]:
                     frame = JstitFrame(moments, edges, agents=bounds.agents,
                                        choice=choice, r=r, re=re)
-                    for act in semantics._act_assignments(slots, parent_slot, polys):
-                        act_map = {(m, h): act[(m, semantics._class_of(base, m, h))]
-                                   for m, h in mh}
+                    for act in naive_acts(slots, polys):
                         for val in _valuations(pvars, mh):
                             inspected += 1
                             if inspected > bounds.budget:
                                 return ResourceBoundExceeded(
                                     f"counter-model search exceeded budget of "
                                     f"{bounds.budget} candidates"), bounds.budget
-                            model = JstitModel(frame, universe, act_map, {}, val,
+                            model = JstitModel(frame, universe, act, {}, val,
                                                evidence_default=default)
                             if violations(validate_model(model)):
                                 continue

@@ -138,6 +138,24 @@ def test_check_frame_boolean_agents(tmp_path, capsys):
     assert "agents must be an integer" in capsys.readouterr().err
 
 
+def test_agent_count_costs_nothing_where_choice_is_trivial(tmp_path, capsys):
+    # the agent count comes from the document: agents without choice
+    # entries have the one-cell partition and must cost nothing
+    outcomes = []
+    for agents in (2, 10 ** 10):
+        doc = dump_frame(golden_frame())
+        doc["agents"] = agents
+        doc["choice"] = {"m0,0": [[0], [1]]}
+        path = write(tmp_path, f"f{agents}.json", doc)
+        for command in ("check-frame", "classify", "countermodel"):
+            start = time.perf_counter()
+            code = main([command, path])
+            assert time.perf_counter() - start < 1.0, (command, agents)
+            out = capsys.readouterr().out.replace(f'"agents": {agents},', '"agents": N,')
+            outcomes.append((command, code, out))
+    assert outcomes[:3] == outcomes[3:]
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -682,13 +700,18 @@ def _mutated_justification(draw, kind):
     just = draw(st.sampled_from([line["just"] for line in doc["lines"]
                                  if line["just"]["kind"] == kind]))
     names = [f.name for f in dataclasses.fields(_JUSTIFICATION_CLASSES[kind])]
-    names += ["i", "j", "agent", "scheme"]
+    _set_odd_fields(draw, just, names + ["i", "j", "agent", "scheme"])
+    return doc
+
+
+def _set_odd_fields(draw, block: dict, names: list) -> None:
+    """Set one or two of the named fields of block to an odd value, or
+    delete them."""
     for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2)):
         if draw(st.booleans()):
-            just[name] = draw(st.sampled_from(_ODD_VALUES))
+            block[name] = draw(st.sampled_from(_ODD_VALUES))
         else:
-            just.pop(name, None)
-    return doc
+            block.pop(name, None)
 
 
 @pytest.mark.parametrize("kind", sorted(_JUSTIFICATION_CLASSES))
@@ -705,5 +728,52 @@ def test_mutated_justification_fields_never_crash(fuzz_dir, kind):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([*command, path])
             assert code in (0, 1, 2), (command, doc, code, err.getvalue())
+
+    run()
+
+
+# the fields of frame and model documents and of witness blocks, drawn odd
+# in the same way
+_FRAME_FIELDS = ["moments", "order", "agents", "choice", "r", "re", "dense"]
+_FIELD_SEEDS = {
+    "frame": (_FRAME_FIELDS, (dump_frame(golden_frame()), _choice_frame_doc())),
+    "model": (_FRAME_FIELDS + ["act", "evidence", "valuation", "universe"],
+              (golden_model_doc(),)),
+    "witness": (["kind", "m0", "m1", "h0", "h1", "h_prime", "s"],
+                ({"kind": "reg", "m0": "m0", "m1": "c", "h_prime": "h1", "s": ["c"]},
+                 {"kind": "mixsucc", "m0": "m0", "m1": "c", "h0": "h0", "h1": "h1"})),
+}
+
+
+@st.composite
+def _mutated_fields(draw, kind):
+    names, seeds = _FIELD_SEEDS[kind]
+    doc = copy.deepcopy(draw(st.sampled_from(seeds)))
+    _set_odd_fields(draw, doc, names)
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(_FIELD_SEEDS))
+def test_mutated_document_fields_never_crash(fuzz_dir, kind):
+    path = str(fuzz_dir / f"fields-{kind}.json")
+    frame_path = write(fuzz_dir, "fields-witness-frame.json", dump_frame(golden_frame()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mutated_fields(kind))
+    def run(doc):
+        if kind == "witness":
+            commands = [["countermodel", "--witness", json.dumps(doc), frame_path],
+                        ["countermodel", "--kind", "stit", "--witness", json.dumps(doc),
+                         frame_path]]
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            commands = [[*command, path] for command in _COMMANDS[kind]]
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(command)
+            assert code in range(4), (command, doc, code, err.getvalue())
+            assert "Traceback" not in err.getvalue(), (command, doc)
 
     run()

@@ -68,3 +68,24 @@ def test_no_unreferenced_definitions():
         for name, line in _top_level_names(tree)
         if name not in named and not name.startswith(("__", "_cmd_"))]
     assert unreferenced == []
+
+
+def test_oracles_share_only_the_listed_private_names():
+    # the referees restate what the package computes; each private package
+    # name they use is code they no longer check independently
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    modules: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("jastit"):
+            for alias in node.names:
+                if node.module == "jastit":
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    used.add(f"{node.module.removeprefix('jastit.')}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            used.add(f"{node.value.id}.{node.attr}")
+    allowed = {"syntax._KEYWORDS", "syntax._too_deep", "semantics._joint_choice_options"}
+    assert sorted(used - allowed) == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from dataclasses import replace
@@ -7,10 +8,13 @@ import pytest
 from jastit.calculus import SCHEME_IDS
 from jastit.documents import canonical_json, dump_model
 from jastit.generators import all_trees, random_formula, random_jstit_frame, random_model, scheme_instance
-from oracles import naive_find_countermodel, naive_preorders, naive_satisfies
+from oracles import (
+    naive_acts, naive_find_countermodel, naive_partitions, naive_preorders, naive_satisfies,
+    naive_slots,
+)
 from jastit.diagnostics import ResourceBoundExceeded, violations
-from jastit.frames import JstitFrame, is_regular
-from jastit.models import JstitModel, OutOfUniverseError, validate_model
+from jastit.frames import JstitFrame, is_regular, validate_frame
+from jastit.models import JstitModel, OutOfUniverseError, Universe, validate_model
 from jastit import semantics
 from jastit.semantics import Index, SearchBounds, find_countermodel, satisfies, valid_in_model
 from jastit.countermodels import RegWitness, TARGET_FORMULA, build_jstit_countermodel
@@ -337,6 +341,43 @@ def test_relation_pairs_agree_with_naive_preorders():
             assert semantics._relation_pairs(base) == [
                 (r, re) for r in pres for re in pres if r <= re], parents
             trees += 1
+    assert trees == 10
+
+
+def _table_key(choice: dict) -> frozenset:
+    return frozenset((key, frozenset(map(frozenset, cells))) for key, cells in choice.items())
+
+
+def test_search_layers_agree_with_brute_force_on_small_trees():
+    x, y = ProofVar("x"), ProofVar("y")
+    trees = 0
+    for moments, edges, base, parent_slot, mh in semantics._trees(SearchBounds(max_moments=4)):
+        trees += 1
+        slots = naive_slots(base)
+        assert list(parent_slot.items()) == list(slots.items()), edges
+        acts = list(semantics._act_assignments(parent_slot, [x, y]))
+        assert acts == list(naive_acts(slots, [x, y])), edges
+        # validate_model reads neither choice nor r, and the order's re
+        # admits every act a larger re does: the act layer is complete
+        universe = Universe.close(polynomials=[x])
+        acts = list(semantics._act_assignments(parent_slot, [x]))
+        for picks in itertools.product((frozenset(), frozenset([x])), repeat=len(mh)):
+            act = dict(zip(mh, picks))
+            if not violations(validate_model(JstitModel(base, universe, act))):
+                assert act in acts, (edges, act)
+        for agents in (1, 2):
+            options = semantics._joint_choice_options(
+                JstitFrame(moments, edges, agents=agents))
+            found = [_table_key(choice) for choice in options]
+            keys = [(m, j) for m in moments for j in range(agents)]
+            partitions = [naive_partitions([h for m2, h in mh if m2 == m]) for m, _ in keys]
+            valid = set()
+            for picks in itertools.product(*partitions):
+                choice = dict(zip(keys, picks))
+                frame = JstitFrame(moments, edges, agents=agents, choice=choice)
+                if not violations(validate_frame(frame)):
+                    valid.add(_table_key(choice))
+            assert len(set(found)) == len(found) and set(found) == valid, (edges, agents)
     assert trees == 10
 
 
