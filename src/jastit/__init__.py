@@ -35,7 +35,7 @@ from .frames import (
 )
 from .models import (
     ConstantSpecification, EVERYTHING, JstitModel, OutOfUniverseError,
-    Universe, act_settled, validate_model,
+    Universe, act_settled, act_violations, validate_model,
 )
 from .semantics import (
     Index, SearchBounds, find_countermodel, satisfies, valid_in_model,

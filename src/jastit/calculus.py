@@ -48,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .diagnostics import Diagnostic, ResourceBoundExceeded, VIOLATION, WARNING
+from .diagnostics import Diagnostic, Report, ResourceBoundExceeded
 from .models import ConstantSpecification, cs_entry_key
 from .syntax import (
     And, Announced, App, Box, Check, Cstit, Formula, Knows, Not, ProofVar,
@@ -488,23 +488,20 @@ def verify_proof(proof: Proof, cs: Optional[ConstantSpecification] = None,
 def check_cs(cs: ConstantSpecification) -> tuple[Diagnostic, ...]:
     """Every payload must be an axiom instance; closure gaps are violations
     and auto-completed entries are flagged."""
-    out: list[Diagnostic] = []
+    out = Report()
     for chain, payload in sorted(cs.entries, key=cs_entry_key):
         if match_axiom(payload) is None:
-            out.append(Diagnostic(
-                VIOLATION, "cs-entry-not-axiom",
-                f"{':'.join(chain)} annotates {render(payload)}, "
-                "which matches no axiom scheme",
-                (":".join(chain), render(payload))))
+            out.bad("cs-entry-not-axiom",
+                    f"{':'.join(chain)} annotates {render(payload)}, "
+                    "which matches no axiom scheme",
+                    (":".join(chain), render(payload)))
         if len(chain) > 1 and (chain[1:], payload) not in cs.entries:
-            out.append(Diagnostic(
-                VIOLATION, "cs-not-closed",
-                f"entry {':'.join(chain)} lacks the shortened entry "
-                f"{':'.join(chain[1:])} for {render(payload)}",
-                (":".join(chain), render(payload))))
+            out.bad("cs-not-closed",
+                    f"entry {':'.join(chain)} lacks the shortened entry "
+                    f"{':'.join(chain[1:])} for {render(payload)}",
+                    (":".join(chain), render(payload)))
     for chain, payload in cs.auto_added:
-        out.append(Diagnostic(
-            WARNING, "cs-closure-added",
-            f"closure added {':'.join(chain)} : {render(payload)}",
-            (":".join(chain), render(payload))))
+        out.note("cs-closure-added",
+                 f"closure added {':'.join(chain)} : {render(payload)}",
+                 (":".join(chain), render(payload)))
     return tuple(out)

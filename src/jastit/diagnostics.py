@@ -21,6 +21,16 @@ class Diagnostic:
         return f"{self.severity}[{self.code}] {self.message}{w}"
 
 
+class Report(list):
+    """Diagnostics in the order the validators find them."""
+
+    def bad(self, code: str, message: str, witness: tuple = ()) -> None:
+        self.append(Diagnostic(VIOLATION, code, message, witness))
+
+    def note(self, code: str, message: str, witness: tuple = ()) -> None:
+        self.append(Diagnostic(WARNING, code, message, witness))
+
+
 def violations(diags) -> list[Diagnostic]:
     return [d for d in diags if d.severity == VIOLATION]
 

@@ -13,17 +13,18 @@ intended structure has a densely ordered stretch of extra moments strictly
 between a and b (same choice/evidence behavior as b, no branching inside the
 stretch). The executable effect is confined to two places: `next` reports
 False on annotated pairs, and the model validator relaxes one Act constraint
-at annotated targets (see models.validate_model). All classifiers work on
+at annotated targets (see models.act_violations). All classifiers work on
 the annotated frame as if the stretch were present.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .diagnostics import Diagnostic, ResourceBoundExceeded, VIOLATION
+from .diagnostics import Diagnostic, Report, ResourceBoundExceeded
 
 __all__ = [
     "History", "TemporalFrame", "StitFrame", "JstitFrame",
@@ -91,10 +92,6 @@ class TemporalFrame:
             if a not in known or b not in known:
                 raise ValueError(f"dense pair ({a!r}, {b!r}) mentions unknown moment")
         self.dense: frozenset[Pair] = dn
-        self._histories: Optional[tuple[History, ...]] = None
-        self._by_name: dict[str, History] = {}
-        self._through: dict[str, tuple[History, ...]] = {}
-        self._preds: Optional[dict[str, tuple[str, ...]]] = None
         self._classes: dict[str, tuple[frozenset[str], ...]] = {}
 
     # -- order relations
@@ -105,16 +102,13 @@ class TemporalFrame:
     def lt(self, a: str, b: str) -> bool:
         return a != b and (a, b) in self.leq and (b, a) not in self.leq
 
-    def _strict_preds(self, b: str) -> tuple[str, ...]:
-        if self._preds is None:
-            self._preds = {
-                m: tuple(a for a in self.moments if self.lt(a, m)) for m in self.moments
-            }
-        return self._preds[b]
+    @functools.cached_property
+    def _strict_preds(self) -> dict[str, tuple[str, ...]]:
+        return {m: tuple(a for a in self.moments if self.lt(a, m)) for m in self.moments}
 
     def covers(self, a: str, b: str) -> bool:
         """b immediately succeeds a, ignoring density annotations."""
-        return self.lt(a, b) and all(self.le(c, a) for c in self._strict_preds(b))
+        return self.lt(a, b) and all(self.le(c, a) for c in self._strict_preds[b])
 
     def next(self, a: str, b: str) -> bool:
         """Immediate succession; False across a declared dense stretch."""
@@ -124,17 +118,12 @@ class TemporalFrame:
         return tuple(b for b in self.moments if self.covers(m, b))
 
     def minimal_moments(self) -> tuple[str, ...]:
-        return tuple(m for m in self.moments if not self._strict_preds(m))
+        return tuple(m for m in self.moments if not self._strict_preds[m])
 
     # -- histories
 
-    @property
+    @functools.cached_property
     def histories(self) -> tuple[History, ...]:
-        if self._histories is None:
-            self._compute_histories()
-        return self._histories  # type: ignore[return-value]
-
-    def _compute_histories(self) -> None:
         chains: list[tuple[str, ...]] = []
 
         def extend(chain: list[str]) -> None:
@@ -150,19 +139,20 @@ class TemporalFrame:
         for m in self.minimal_moments():
             extend([m])
         chains.sort()
-        hs = tuple(History(f"h{i}", c) for i, c in enumerate(chains))
-        self._histories = hs
-        self._by_name = {h.name: h for h in hs}
-        self._through = {
-            m: tuple(h for h in hs if m in h) for m in self.moments
-        }
+        return tuple(History(f"h{i}", c) for i, c in enumerate(chains))
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, History]:
+        return {h.name: h for h in self.histories}
+
+    @functools.cached_property
+    def _through(self) -> dict[str, tuple[History, ...]]:
+        return {m: tuple(h for h in self.histories if m in h) for m in self.moments}
 
     def history(self, name: str) -> History:
-        self.histories
         return self._by_name[name]
 
     def histories_through(self, m: str) -> tuple[History, ...]:
-        self.histories
         return self._through[m]
 
     def _as_history(self, h: Union[History, str]) -> History:
@@ -287,11 +277,38 @@ class JstitFrame(StitFrame):
 
         self.r = prep(r, self.leq)
         self.re = prep(re, self.r)
-        self._theta_system: Optional[tuple[frozenset[str], ...]] = None
         self._theta_cache: dict[str, tuple[frozenset[str], ...]] = {}
 
     def _key(self) -> tuple:
         return super()._key() + (self.r, self.re)
+
+    @functools.cached_property
+    def _theta_system(self) -> tuple[frozenset[str], ...]:
+        """Every closed set of the frame that holds no minimal moment, sorted by
+        size and then by sorted members; Theta_m is the members holding m."""
+        re_succ = {w: {b for a, b in self.re if a == w} for w in self.moments}
+        # m1 is pulled in once S holds the next successor of m1 on each history
+        # through it; a chain has at most one, and a history with none never fires
+        bodies = {m1: [[w for w in h.chain if self.next(m1, w)]
+                       for h in self.histories_through(m1)] for m1 in self.moments}
+        rules = [(frozenset(w for (w,) in b), m1) for m1, b in bodies.items() if b and all(b)]
+
+        def close(s: frozenset[str]) -> frozenset[str]:
+            out, size = set(s), -1
+            while size != len(out):
+                size = len(out)
+                out.update(*[re_succ[a] for a in out])
+                out.update(m1 for body, m1 in rules if body <= out)
+            return frozenset(out)
+
+        # executable finite form of the density/predecessor condition: a declared
+        # dense stretch below an annotated member supplies the required earlier
+        # members, and any unannotated finite moment has an immediate predecessor,
+        # so the condition can only fail at order-minimal members
+        minimal = frozenset(self.minimal_moments())
+        found = _closed_sets(frozenset(), [w for w in self.moments if w not in minimal],
+                             close, lambda s: not s & minimal, tally=lambda s: s)
+        return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
 Frame = Union[TemporalFrame, StitFrame, JstitFrame]
@@ -313,32 +330,28 @@ def _is_preorder(moments: Sequence[str], rel: frozenset[Pair]) -> Optional[tuple
 
 def validate_frame(frame: Frame) -> list[Diagnostic]:
     """Check every frame-level invariant; one diagnostic per failed instance class."""
-    out: list[Diagnostic] = []
-
-    def bad(code: str, message: str, witness: tuple = ()) -> None:
-        out.append(Diagnostic(VIOLATION, code, message, witness))
-
+    out = Report()
     ms = frame.moments
 
     for a, b in itertools.combinations(ms, 2):
         if frame.le(a, b) and frame.le(b, a):
-            bad("order-cycle", f"{a} and {b} are mutually below each other", (a, b))
+            out.bad("order-cycle", f"{a} and {b} are mutually below each other", (a, b))
 
     for a, b in itertools.combinations(ms, 2):
         if not any(frame.le(c, a) and frame.le(c, b) for c in ms):
-            bad("historical-connection", f"{a} and {b} have no common predecessor", (a, b))
+            out.bad("historical-connection", f"{a} and {b} have no common predecessor", (a, b))
 
     for m in ms:
         below = [a for a in ms if frame.le(a, m)]
         for a, b in itertools.combinations(below, 2):
             if not frame.le(a, b) and not frame.le(b, a):
-                bad("backward-branching",
-                    f"{a} and {b} are incomparable below {m}", (a, b, m))
+                out.bad("backward-branching",
+                        f"{a} and {b} are incomparable below {m}", (a, b, m))
 
     for a, b in sorted(frame.dense):
         if not frame.covers(a, b):
-            bad("dense-not-cover",
-                f"dense pair ({a}, {b}) is not a covering pair", (a, b))
+            out.bad("dense-not-cover",
+                    f"dense pair ({a}, {b}) is not a covering pair", (a, b))
 
     if isinstance(frame, StitFrame):
         names = {h.name for h in frame.histories}
@@ -346,13 +359,13 @@ def validate_frame(frame: Frame) -> list[Diagnostic]:
             members = [x for cell in cells for x in cell]
             unknown = sorted(set(members) - names)
             if unknown:
-                bad("choice-domain",
-                    f"Choice^{m}_{j} mentions unknown histories {unknown}", (m, j, tuple(unknown)))
+                out.bad("choice-domain",
+                        f"Choice^{m}_{j} mentions unknown histories {unknown}", (m, j, tuple(unknown)))
                 continue
             h_m = {h.name for h in frame.histories_through(m)}
             if len(members) != len(set(members)) or set(members) != h_m:
-                bad("choice-partition",
-                    f"Choice^{m}_{j} cells do not partition H_{m}", (m, j))
+                out.bad("choice-partition",
+                        f"Choice^{m}_{j} cells do not partition H_{m}", (m, j))
         # the one-cell partition of an agent without an entry at m never
         # splits undivided histories and meets every cell, so only agents
         # with entries are checked
@@ -369,28 +382,28 @@ def validate_frame(frame: Frame) -> list[Diagnostic]:
                         except ValueError:
                             continue  # partition defect already reported
                         if not same:
-                            bad("choice-undivided",
-                                f"{h.name} and {g.name} are undivided at {m} but split by agent {j}",
-                                (m, j, h.name, g.name))
+                            out.bad("choice-undivided",
+                                    f"{h.name} and {g.name} are undivided at {m} but split by agent {j}",
+                                    (m, j, h.name, g.name))
             cell_lists = [frame.choice_cells(m, j) for j in entries.get(m, ())]
             for combo in itertools.product(*cell_lists):
                 if combo and not frozenset.intersection(*combo):
-                    bad("choice-independence",
-                        f"agents admit no joint choice at {m}", (m,) + tuple(sorted(map(sorted, combo), key=str)))
+                    out.bad("choice-independence",
+                            f"agents admit no joint choice at {m}", (m,) + tuple(sorted(map(sorted, combo), key=str)))
                     break
 
     if isinstance(frame, JstitFrame):
         for label, rel in (("r", frame.r), ("re", frame.re)):
             defect = _is_preorder(ms, rel)
             if defect:
-                bad(f"{label}-not-preorder", f"{label} fails {defect[0]}", defect[1:])
+                out.bad(f"{label}-not-preorder", f"{label} fails {defect[0]}", defect[1:])
         missing = sorted(frame.leq - frame.r)
         if missing:
-            bad("order-not-in-r",
-                f"temporal order pair {missing[0]} missing from r", missing[0])
+            out.bad("order-not-in-r",
+                    f"temporal order pair {missing[0]} missing from r", missing[0])
         missing = sorted(frame.r - frame.re)
         if missing:
-            bad("r-not-in-re", f"r pair {missing[0]} missing from re", missing[0])
+            out.bad("r-not-in-re", f"r pair {missing[0]} missing from re", missing[0])
 
     return out
 
@@ -460,34 +473,6 @@ def _closed_sets(start: frozenset, items: Sequence, close, keep,
     return seen
 
 
-def _theta_system(frame: JstitFrame) -> tuple[frozenset[str], ...]:
-    """Every closed set of the frame that holds no minimal moment, sorted by
-    size and then by sorted members; Theta_m is the members holding m."""
-    re_succ = {w: {b for a, b in frame.re if a == w} for w in frame.moments}
-    # m1 is pulled in once S holds the next successor of m1 on each history
-    # through it; a chain has at most one, and a history with none never fires
-    bodies = {m1: [[w for w in h.chain if frame.next(m1, w)]
-                   for h in frame.histories_through(m1)] for m1 in frame.moments}
-    rules = [(frozenset(w for (w,) in b), m1) for m1, b in bodies.items() if b and all(b)]
-
-    def close(s: frozenset[str]) -> frozenset[str]:
-        out, size = set(s), -1
-        while size != len(out):
-            size = len(out)
-            out.update(*[re_succ[a] for a in out])
-            out.update(m1 for body, m1 in rules if body <= out)
-        return frozenset(out)
-
-    # executable finite form of the density/predecessor condition: a declared
-    # dense stretch below an annotated member supplies the required earlier
-    # members, and any unannotated finite moment has an immediate predecessor,
-    # so the condition can only fail at order-minimal members
-    minimal = frozenset(frame.minimal_moments())
-    found = _closed_sets(frozenset(), [w for w in frame.moments if w not in minimal],
-                         close, lambda s: not s & minimal, tally=lambda s: s)
-    return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
-
-
 def theta(frame: JstitFrame, m: str) -> tuple[frozenset[str], ...]:
     """The family Theta_m of candidate support sets containing m.
 
@@ -506,8 +491,6 @@ def theta(frame: JstitFrame, m: str) -> tuple[frozenset[str], ...]:
     cached = frame._theta_cache.get(m)
     if cached is not None:
         return cached
-    if frame._theta_system is None:
-        frame._theta_system = _theta_system(frame)
     result = tuple(s for s in frame._theta_system if m in s)
     frame._theta_cache[m] = result
     return result

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .diagnostics import Diagnostic, VIOLATION, WARNING
+from .diagnostics import Diagnostic, Report
 from .frames import History, JstitFrame
 from .syntax import (
     And, App, Check, Formula, Not, Polynomial, ProofConst, ProofVar, Proves,
@@ -26,7 +26,7 @@ from .syntax import (
 __all__ = [
     "Universe", "EVERYTHING", "EvidenceSet", "ev_contains", "ev_subset",
     "ConstantSpecification", "cs_entry_key", "JstitModel", "OutOfUniverseError",
-    "act_settled", "validate_model", "derived_property_check",
+    "act_settled", "act_violations", "validate_model", "derived_property_check",
 ]
 
 
@@ -310,13 +310,14 @@ class JstitModel:
 
 def act_settled(model: JstitModel, m: str) -> frozenset:
     """Proofs presented on every history through m (an accomplished fact at m)."""
-    hs = model.frame.histories_through(m)
+    return _settled(model.frame, model.act, m)
+
+
+def _settled(frame: JstitFrame, act: Mapping, m: str) -> frozenset:
+    hs = frame.histories_through(m)
     if not hs:
         return frozenset()
-    out = model.act_at(m, hs[0])
-    for h in hs[1:]:
-        out &= model.act_at(m, h)
-    return out
+    return frozenset.intersection(*(act[(m, h.name)] for h in hs))
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +337,83 @@ def _sorted_formulas(fs) -> list:
     return sorted(fs, key=render)
 
 
+def act_violations(frame: JstitFrame, act: Mapping) -> list[Diagnostic]:
+    """Check the Act constraints of an act keyed by every moment-history
+    pair of frame; diagnostics, not exceptions.
+
+    Reads only the order, the dense pairs and re of the frame. The
+    no-new-proofs condition is waived (with a warning) at moments whose
+    incoming cover is density-annotated: the declared stretch carries the
+    presented proofs that a finite order cannot.
+    """
+    out = Report()
+    # expansion of presented proofs along the order
+    for m2 in frame.moments:
+        for m in frame.moments:
+            if not frame.lt(m, m2):
+                continue
+            for h in frame.histories_through(m2):
+                extra = act[(m, h.name)] - act[(m2, h.name)]
+                if extra:
+                    t = _sorted_polys(extra)[0]
+                    out.bad("act-expansion",
+                            f"{render_polynomial(t)} presented at {m} on {h.name} but gone at later {m2}",
+                            (m, m2, h.name, render_polynomial(t)))
+
+    # no new proofs guaranteed (settled proofs must have been presented before)
+    for m in frame.moments:
+        settled = _settled(frame, act, m)
+        if not settled:
+            continue
+        seen = set()
+        for m2 in frame.moments:
+            if frame.lt(m2, m):
+                for h in frame.histories_through(m):
+                    seen |= act[(m2, h.name)]
+        fresh = settled - seen
+        if fresh:
+            t = _sorted_polys(fresh)[0]
+            if any(b == m for (_, b) in frame.dense):
+                out.note("act-new-proofs-waived",
+                         f"settled proof {render_polynomial(t)} at {m} attributed to the declared dense stretch below {m}",
+                         (m, render_polynomial(t)))
+            else:
+                out.bad("act-new-proofs",
+                        f"{render_polynomial(t)} settled at {m} without having been presented strictly before",
+                        (m, render_polynomial(t)))
+
+    # presenting divides: undivided histories carry the same presented proofs
+    for m in frame.moments:
+        hs = frame.histories_through(m)
+        for h, g in itertools.combinations(hs, 2):
+            if frame.undivided_at(m, h, g) and act[(m, h.name)] != act[(m, g.name)]:
+                out.bad("act-undivided",
+                        f"{h.name} and {g.name} are undivided at {m} but present different proofs",
+                        (m, h.name, g.name))
+
+    # epistemic transparency of settled proofs along re
+    for m, m2 in sorted(frame.re):
+        if m == m2:
+            continue
+        extra = _settled(frame, act, m) - _settled(frame, act, m2)
+        if extra:
+            t = _sorted_polys(extra)[0]
+            out.bad("act-transparency",
+                    f"settled proof {render_polynomial(t)} at {m} unknown at re-successor {m2}",
+                    (m, m2, render_polynomial(t)))
+    return out
+
+
 def validate_model(model: JstitModel, cs: Optional[ConstantSpecification] = None
                    ) -> list[Diagnostic]:
     """Check the Act/evidence/valuation constraints; diagnostics, not exceptions.
 
     Evidence closure is checked only where the composite polynomial lies in
-    the universe; skipped composites are reported in one warning. The
-    no-new-proofs condition is waived (with a warning) at moments whose
-    incoming cover is density-annotated: the declared stretch carries the
-    presented proofs that a finite order cannot.
+    the universe; skipped composites are reported in one warning.
     """
     frame = model.frame
     uni = model.universe
-    out: list[Diagnostic] = []
-
-    def bad(code: str, message: str, witness: tuple = ()) -> None:
-        out.append(Diagnostic(VIOLATION, code, message, witness))
-
-    def note(code: str, message: str, witness: tuple = ()) -> None:
-        out.append(Diagnostic(WARNING, code, message, witness))
+    out = Report()
 
     # monotonicity of evidence along re
     polys = set(uni.polynomials) | {t for (_, t) in model.evidence}
@@ -363,9 +422,9 @@ def validate_model(model: JstitModel, cs: Optional[ConstantSpecification] = None
             if m == m2:
                 continue
             if not ev_subset(model.evidence_at(m, t), model.evidence_at(m2, t)):
-                bad("evidence-monotonicity",
-                    f"evidence for {render_polynomial(t)} shrinks from {m} to its re-successor {m2}",
-                    (m, m2, render_polynomial(t)))
+                out.bad("evidence-monotonicity",
+                        f"evidence for {render_polynomial(t)} shrinks from {m} to its re-successor {m2}",
+                        (m, m2, render_polynomial(t)))
 
     # evidence closure under *, +, ! where the composite is expressible.
     # An absent composite falls back to the default evidence set; when that
@@ -389,94 +448,41 @@ def validate_model(model: JstitModel, cs: Optional[ConstantSpecification] = None
                     if b in ec:
                         continue
                     if any(a in et and _holds_implies(es, a, b) for a in uf()):
-                        bad("evidence-closure-app",
-                            f"{render(b)} derivable at {m} but missing from evidence for {render_polynomial(comp)}",
-                            (m, render_polynomial(comp), render(b)))
+                        out.bad("evidence-closure-app",
+                                f"{render(b)} derivable at {m} but missing from evidence for {render_polynomial(comp)}",
+                                (m, render_polynomial(comp), render(b)))
             comp = Sum.find(s, t)
             if comp in uni.polynomials and model.evidence_at(m, comp) is not EVERYTHING:
                 ec = model.evidence_at(m, comp)
                 for a in uf():
                     if (a in model.evidence_at(m, s) or a in model.evidence_at(m, t)) and a not in ec:
-                        bad("evidence-closure-sum",
-                            f"{render(a)} in a summand's evidence at {m} but not in evidence for {render_polynomial(comp)}",
-                            (m, render_polynomial(comp), render(a)))
+                        out.bad("evidence-closure-sum",
+                                f"{render(a)} in a summand's evidence at {m} but not in evidence for {render_polynomial(comp)}",
+                                (m, render_polynomial(comp), render(a)))
         for t in up:
             comp = Check.find(t)
             if comp in uni.polynomials and model.evidence_at(m, comp) is not EVERYTHING:
                 ec = model.evidence_at(m, comp)
                 for a in uf():
                     if a in model.evidence_at(m, t) and Proves.find(t, a) not in ec:
-                        bad("evidence-closure-check",
-                            f"{render_polynomial(t)} : {render(a)} missing from evidence for {render_polynomial(comp)} at {m}",
-                            (m, render_polynomial(comp), render(a)))
+                        out.bad("evidence-closure-check",
+                                f"{render_polynomial(t)} : {render(a)} missing from evidence for {render_polynomial(comp)} at {m}",
+                                (m, render_polynomial(comp), render(a)))
     if skipped:
-        note("evidence-closure-skipped",
-             "closure not checked for composites outside the universe: "
-             + ", ".join(skipped), skipped)
+        out.note("evidence-closure-skipped",
+                 "closure not checked for composites outside the universe: "
+                 + ", ".join(skipped), skipped)
 
-    # expansion of presented proofs along the order
-    for m2 in frame.moments:
-        for m in frame.moments:
-            if not frame.lt(m, m2):
-                continue
-            for h in frame.histories_through(m2):
-                extra = model.act_at(m, h) - model.act_at(m2, h)
-                if extra:
-                    t = _sorted_polys(extra)[0]
-                    bad("act-expansion",
-                        f"{render_polynomial(t)} presented at {m} on {h.name} but gone at later {m2}",
-                        (m, m2, h.name, render_polynomial(t)))
-
-    # no new proofs guaranteed (settled proofs must have been presented before)
-    for m in frame.moments:
-        settled = act_settled(model, m)
-        if not settled:
-            continue
-        seen = set()
-        for m2 in frame.moments:
-            if frame.lt(m2, m):
-                for h in frame.histories_through(m):
-                    seen |= model.act_at(m2, h)
-        fresh = settled - seen
-        if fresh:
-            t = _sorted_polys(fresh)[0]
-            if any(b == m for (_, b) in frame.dense):
-                note("act-new-proofs-waived",
-                     f"settled proof {render_polynomial(t)} at {m} attributed to the declared dense stretch below {m}",
-                     (m, render_polynomial(t)))
-            else:
-                bad("act-new-proofs",
-                    f"{render_polynomial(t)} settled at {m} without having been presented strictly before",
-                    (m, render_polynomial(t)))
-
-    # presenting divides: undivided histories carry the same presented proofs
-    for m in frame.moments:
-        hs = frame.histories_through(m)
-        for h, g in itertools.combinations(hs, 2):
-            if frame.undivided_at(m, h, g) and model.act_at(m, h) != model.act_at(m, g):
-                bad("act-undivided",
-                    f"{h.name} and {g.name} are undivided at {m} but present different proofs",
-                    (m, h.name, g.name))
-
-    # epistemic transparency of settled proofs along re
-    for m, m2 in sorted(frame.re):
-        if m == m2:
-            continue
-        extra = act_settled(model, m) - act_settled(model, m2)
-        if extra:
-            t = _sorted_polys(extra)[0]
-            bad("act-transparency",
-                f"settled proof {render_polynomial(t)} at {m} unknown at re-successor {m2}",
-                (m, m2, render_polynomial(t)))
+    out.extend(act_violations(frame, model.act))
 
     # CS-normality: everything the specification asserts is admissible evidence
     if cs is not None:
         for c, f in cs.normality_requirements():
             for m in frame.moments:
                 if not ev_contains(model.evidence_at(m, ProofConst(c)), f):
-                    bad("cs-normality",
-                        f"specification asserts {c} : {render(f)} but {render(f)} is not evidence for {c} at {m}",
-                        (m, c, render(f)))
+                    out.bad("cs-normality",
+                            f"specification asserts {c} : {render(f)} but {render(f)} is not evidence for {c} at {m}",
+                            (m, c, render(f)))
 
     return out
 
@@ -488,7 +494,7 @@ def derived_property_check(model: JstitModel) -> list[Diagnostic]:
     a hit here on a validated model means the validator itself is broken.
     """
     frame = model.frame
-    out: list[Diagnostic] = []
+    out = Report()
     for m in frame.moments:
         for m2 in frame.moments:
             if not frame.lt(m, m2):
@@ -496,9 +502,7 @@ def derived_property_check(model: JstitModel) -> list[Diagnostic]:
             settled_late = act_settled(model, m2)
             for h in frame.histories_through(m2):
                 for t in _sorted_polys(model.act_at(m, h) - settled_late):
-                    out.append(Diagnostic(
-                        VIOLATION, "presented-not-settled-later",
-                        f"{render_polynomial(t)} presented at {m} on {h.name} is not settled at {m2}",
-                        (m, m2, h.name, render_polynomial(t)),
-                    ))
+                    out.bad("presented-not-settled-later",
+                            f"{render_polynomial(t)} presented at {m} on {h.name} is not settled at {m2}",
+                            (m, m2, h.name, render_polynomial(t)))
     return out

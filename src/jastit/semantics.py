@@ -8,9 +8,7 @@ from typing import Iterator, Optional, Union
 
 from .diagnostics import DocumentError, ResourceBoundExceeded, violations
 from .frames import JstitFrame, _closed_sets, _closure
-from .models import (
-    EVERYTHING, JstitModel, Universe, ev_contains, validate_model,
-)
+from .models import EVERYTHING, JstitModel, Universe, act_violations, ev_contains
 from .syntax import (
     And, Announced, Box, Cstit, Formula, Knows, Not, Proves, PropVar,
     check_agents, prop_vars, render_polynomial, subformulas,
@@ -156,12 +154,11 @@ class SearchBounds:
     A candidate is one (frame, act, valuation) triple that the search
     visits, counted in enumeration order. The valuations of an act are
     evaluated together, in blocks of at most 2^16, but still count one
-    candidate each, up to and including the counter-model's. Model validity
-    reads neither the valuation nor the choice map nor r, so one verdict per
-    act serves every choice map and every r that share its re; a rejected
-    act counts all of its valuations as inspected on every visit, without
-    any being built. Candidates skipped because f cannot tell them from an
-    earlier one are not counted.
+    candidate each, up to and including the counter-model's. Act validity
+    reads only the order, the dense pairs and re, so one verdict per act
+    serves every choice map and every r that share its re; a rejected act
+    counts all of its valuations as inspected on every visit. Candidates
+    skipped because f cannot tell them from an earlier one are not counted.
 
     max_moments, max_histories, agents and budget must be positive integers,
     and evidence_mode "everything" or "empty".
@@ -236,31 +233,32 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     unannotated rooted tree with canonical moment names m0..mN-1, whose
     whiteboard function is constant on undividedness classes (valid models
     always are), and whose evidence function is constantly Everything (mode
-    "everything") or constantly empty (mode "empty"). A None result means no
-    counter-model exists in that class within the bounds.
+    "everything") or constantly empty (mode "empty"). Constant evidence
+    meets every evidence constraint, so such a model is valid iff its act
+    is (models.act_violations). A None result means no counter-model exists
+    in that class within the bounds.
 
     The enumeration has four layers, each nested in the one before:
       - trees (_trees), which do not depend on f;
       - frames on a tree: choice maps (_joint_choice_options) times
         relation pairs (_relation_pairs);
-      - acts on a frame (_act_assignments), each validated once per tree,
-        re and position in the enumeration;
+      - acts on a frame (_act_assignments), each decided once per tree, re
+        and position in the enumeration;
       - valuations of a valid act, decided a block at a time.
 
     Only the parts of a model that f can read are enumerated (its cone of
     influence). Acts range over the polynomials f announces: every act
-    constraint of validate_model is a conjunction over single polynomials
+    constraint of act_violations is a conjunction over single polynomials
     and the empty placement of a polynomial is always valid, so a valid
     act's projection onto the announced polynomials is valid, is enumerated
-    no later than the act, and gives f the same truth value. Choice maps
-    past the first are skipped when f has no [j], and a relation pair is
-    skipped when an earlier one agrees with it on r (if f has K) and on re
-    (if f has a proof assertion or announces anything): re is otherwise read
-    only by evidence monotonicity, which holds under constant evidence, and
-    by act transparency, which holds vacuously on an empty whiteboard. A
-    skipped candidate gives f the same verdict at every index as one visited
-    before it, so the first counter-model is the one a full enumeration
-    finds.
+    no later than the act, and gives f the same truth value. Only the first
+    choice map (_one_cell_choice) is built when f has no [j], and a relation
+    pair is skipped when an earlier one agrees with it on r (if f has K) and
+    on re (if f has a proof assertion or announces anything): re is
+    otherwise read only by act transparency, which holds vacuously on an
+    empty whiteboard. A skipped candidate gives f the same verdict at every
+    index as one visited before it, so the first counter-model is the one a
+    full enumeration finds.
 
     The valuations of a valid act are numbered (cell i of the variables of
     f times the moment-history pairs holds under valuation v iff bit i of v
@@ -269,10 +267,9 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     bit v is its truth under valuation v, so one evaluation settles a block.
     The first counter-model is the lowest valuation falsifying f at some
     index, taken at its first such index in mh_pairs order, and only that
-    model is built.
+    model and its universe are built.
     """
     check_agents(f, bounds.agents)
-    universe = Universe.close(formulas=[f])
     parts = subformulas(f)
     announced = sorted({g.poly for g in parts if isinstance(g, Announced)},
                        key=render_polynomial)
@@ -297,9 +294,7 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
                 f" (at {n} moment{'' if n == 1 else 's'})")
 
     for moments, edges, base, parent_slot, mh in _trees(bounds):
-        joint_choices = _joint_choice_options(base)
-        if not reads_choice:
-            joint_choices = joint_choices[:1]
+        joint_choices = _joint_choice_options(base) if reads_choice else [_one_cell_choice(base)]
         rel_pairs = _relation_pairs(base, reads_r, reads_re)
         # valuation v makes cell i true iff bit i of v is set
         cells = [(p, pair) for p in pvars for pair in mh]
@@ -321,9 +316,9 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
                     for i, (p, (m, h)) in enumerate(cells)}
             return table
 
-        # validate_model reads the order, re and evidence of a frame but
-        # never its choice map or r, and the act enumeration is the same
-        # for every frame on the tree, so one verdict per (re, position)
+        # act validity reads the order, the dense pairs and re, and the act
+        # enumeration is the same for every frame on the tree, so one
+        # verdict per (re, position)
         verdicts_by_re: dict[frozenset, list[bool]] = {}
         for choice in joint_choices:
             for r, re in rel_pairs:
@@ -332,8 +327,7 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
                 verdicts = verdicts_by_re.setdefault(re, [])
                 for pos, act in enumerate(_act_assignments(parent_slot, announced)):
                     if pos == len(verdicts):
-                        verdicts.append(not violations(validate_model(JstitModel(
-                            frame, universe, act, evidence_default=default))))
+                        verdicts.append(not violations(act_violations(frame, act)))
                     if not verdicts[pos]:
                         spend(valuation_count)
                         continue
@@ -350,10 +344,17 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
                         v = (bad & -bad).bit_length() - 1
                         spend(v + 1)
                         at = next(Index(m, h) for m, h in mh if not ev.sat(m, h, f) >> v & 1)
-                        return JstitModel(frame, universe, act, {},
+                        return JstitModel(frame, Universe.close(formulas=[f]), act, {},
                                           _valuation(cells, lo + v),
                                           evidence_default=default), at
     return None
+
+
+def _one_cell_choice(base: JstitFrame) -> dict:
+    """The first of _joint_choice_options(base), built directly: every agent
+    has the one-cell partition of H_m at every moment."""
+    return {(m, j): (frozenset(h.name for h in base.histories_through(m)),)
+            for m in base.moments for j in range(base.agents)}
 
 
 def _joint_choice_options(base: JstitFrame) -> list[dict]:

@@ -381,6 +381,37 @@ def test_search_layers_agree_with_brute_force_on_small_trees():
     assert trees == 10
 
 
+def test_one_cell_choice_is_the_first_joint_choice():
+    trees = 0
+    for agents in (1, 2, 3):
+        for _, _, base, _, _ in semantics._trees(SearchBounds(max_moments=4, agents=agents)):
+            first = semantics._joint_choice_options(base)[0]
+            assert list(semantics._one_cell_choice(base).items()) == list(first.items())
+            trees += 1
+    assert trees == 30
+
+
+def test_search_builds_only_the_returned_model(monkeypatch):
+    # act validity is decided from the frame and the act, so no other
+    # model is built and validate_model, which takes a model, is not called
+    built = []
+
+    class CountingModel(JstitModel):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "JstitModel", CountingModel)
+    found = find_countermodel(parse_formula("E x -> Box E x"))
+    assert found is not None and built == [found[0].frame]
+    built.clear()
+    assert find_countermodel(parse_formula("E x -> E x"), SearchBounds(max_moments=3)) is None
+    assert built == []
+    with pytest.raises(ResourceBoundExceeded):
+        find_countermodel(parse_formula("E x -> E x"), SearchBounds(budget=9))
+    assert built == []
+
+
 def test_set_partitions_are_bell_many_and_distinct():
     for n, bell in enumerate((1, 1, 2, 5, 15, 52, 203)):
         items = tuple(range(n))
