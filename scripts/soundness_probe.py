@@ -3,13 +3,15 @@
 Every instance of the ten axiom groups should be valid, so the bounded
 counter-model search must come back empty on each one. The probe draws
 random instances per scheme, runs the search, and reports per-scheme
-totals. A found counter-model is a soundness bug: its document is
-printed and the exit code is nonzero. Hitting the enumeration budget
-only narrows the claim and is reported separately.
+totals, each with the scheme's wall time and the process's peak
+resident set size so far. A found counter-model is a soundness bug: its
+document is printed and the exit code is nonzero. Hitting the
+enumeration budget only narrows the claim and is reported separately.
 """
 
 import argparse
 import random
+import resource
 import sys
 import time
 
@@ -43,6 +45,11 @@ def filler(rng: random.Random, agents: int, depth: int = 2):
     if k == 4:
         return Cstit(rng.randrange(agents), sub)
     return Announced(rng.choice(POLYS))
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main(argv=None) -> int:
@@ -87,7 +94,7 @@ def main(argv=None) -> int:
         dt = time.perf_counter() - t0
         note = f", {bound_hits} hit the budget" if bound_hits else ""
         print(f"{scheme}: {clear}/{args.per_scheme} instances clear{note} "
-              f"({dt:.2f}s)")
+              f"({dt:.2f}s, {peak_rss_mb():.0f} MB)")
 
     if found:
         print(f"{found} counter-model(s) found: soundness is broken")

@@ -267,7 +267,8 @@ class JstitFrame(StitFrame):
         def prep(rel: Optional[Iterable[Pair]], default: frozenset[Pair]) -> frozenset[Pair]:
             if rel is None:
                 return default
-            pairs = list(rel)
+            # a frozenset is kept as it is: frozenset() of one is that object
+            pairs = rel if isinstance(rel, frozenset) else list(rel)
             for a, b in pairs:
                 if a not in known or b not in known:
                     raise ValueError(f"relation pair ({a!r}, {b!r}) mentions unknown moment")

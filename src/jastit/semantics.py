@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -10,7 +12,7 @@ from .diagnostics import DocumentError, ResourceBoundExceeded, violations
 from .frames import JstitFrame, _closed_sets, _closure
 from .models import EVERYTHING, JstitModel, Universe, act_violations, ev_contains
 from .syntax import (
-    And, Announced, Box, Cstit, Formula, Knows, Not, Proves, PropVar,
+    And, Announced, Box, Cstit, Formula, Knows, Not, ProofVar, Proves, PropVar,
     check_agents, prop_vars, render_polynomial, subformulas,
 )
 
@@ -154,11 +156,17 @@ class SearchBounds:
     A candidate is one (frame, act, valuation) triple that the search
     visits, counted in enumeration order. The valuations of an act are
     evaluated together, in blocks of at most 2^16, but still count one
-    candidate each, up to and including the counter-model's. Act validity
-    reads only the order, the dense pairs and re, so one verdict per act
-    serves every choice map and every r that share its re; a rejected act
-    counts all of its valuations as inspected on every visit. Candidates
-    skipped because f cannot tell them from an earlier one are not counted.
+    candidate each, up to and including the counter-model's. An act is
+    valid iff the placement of each polynomial it announces (the slots that
+    hold it) is valid, and placement validity reads only the tree and re,
+    so it is decided once per tree and re and serves every formula, choice
+    map and r; a rejected act counts all of its valuations as inspected on
+    every visit. Candidates skipped because f cannot tell them from an
+    earlier one are not counted.
+
+    Nothing that depends only on the tree is rebuilt between searches: each
+    process keeps the tables of the _TREE_TABLES trees used last, and each
+    table keeps the _FRAMES_PER_TREE frames built last on its tree.
 
     max_moments, max_histories, agents and budget must be positive integers,
     and evidence_mode "everything" or "empty".
@@ -183,13 +191,6 @@ def _parent_vectors(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(i) for i in range(1, n)))
 
 
-def _subsets_of(items: list) -> Iterator[frozenset]:
-    """Every subset, smallest first, built only as it is asked for."""
-    for k in range(len(items) + 1):
-        for c in itertools.combinations(items, k):
-            yield frozenset(c)
-
-
 def _set_partitions(items: tuple) -> list[tuple[frozenset, ...]]:
     """All partitions of items, canonically ordered."""
     if not items:
@@ -204,25 +205,138 @@ def _set_partitions(items: tuple) -> list[tuple[frozenset, ...]]:
     return sorted(out, key=lambda p: (len(p), tuple(sorted(map(sorted, p)))))
 
 
-def _trees(bounds: SearchBounds) -> Iterator[tuple]:
-    """Each rooted tree on moments m0..mN-1 within the bounds: its moments,
-    edges, base frame, slot parents and moment-history pairs. Slot parents
-    map each slot (a moment and one of its undivided classes), in
-    construction order, to the slot above it, or to None at the root."""
+# Per-process tables of the search's trees. Nothing in a table depends on
+# the formula, so each tree is built once and serves every later search
+# that reaches it; both caches are bounded least-recently-used, so memory
+# stays flat however many searches a process runs.
+_TREE_TABLES = 16       # trees kept, keyed by (parent vector, agents)
+_FRAMES_PER_TREE = 256  # built frames kept per tree
+
+# the polynomial of the one-polynomial acts that decide placements; act
+# validity does not depend on which polynomial it is
+_PLACED = ProofVar("x")
+
+
+class _TreeTable:
+    """What the search needs of one rooted tree on moments m0..mN-1, for
+    any formula: its moments, edges, base frame, slot parents, slots and
+    moment-history pairs, the relation pairs and choice maps, the frames
+    built on it and the valid placements per re.
+
+    A slot is a moment and one of its undivided classes, in construction
+    order; slot parents map each slot to the slot above it, or to None at
+    the root. An act that is constant on each slot is given by the
+    placement of each polynomial it announces: the set of slots that hold
+    it, as a bit set over the slots. Every act constraint of act_violations
+    is a conjunction over single polynomials, so an act is valid iff each of
+    its placements is; a placement's validity depends only on the tree and
+    re, and is decided once per re on the one-polynomial act."""
+
+    def __init__(self, parents: tuple[int, ...], agents: int):
+        moments = self.moments = [f"m{i}" for i in range(len(parents) + 1)]
+        edges = self.edges = [(moments[p], moments[i + 1]) for i, p in enumerate(parents)]
+        base = self.base = JstitFrame(moments, edges, agents=agents)
+        through = {m: [h.name for h in base.histories_through(m)] for m in moments}
+        # the class above m's slots holds the histories through m: a
+        # history sharing a moment after m's parent with one passes m
+        up = {m: (p, frozenset(through[m])) for p, m in edges}
+        self.parent_slot = {(m, cls): up.get(m)
+                            for m in moments for cls in base.undivided_classes(m)}
+        self.slots = list(self.parent_slot)
+        index = {slot: i for i, slot in enumerate(self.slots)}
+        self._up = [index.get(parent) for parent in self.parent_slot.values()]
+        self._pair_slot = [((m, h), i) for i, (m, cls) in enumerate(self.slots) for h in cls]
+        self.mh = [(m, h) for m in moments for h in through[m]]
+        self._pairs: dict[tuple[bool, bool], list] = {}
+        self._frames: OrderedDict[tuple, JstitFrame] = OrderedDict()
+        self._valid: dict[frozenset, frozenset[int]] = {}
+
+    @functools.cached_property
+    def joint_choices(self) -> list[dict]:
+        return _joint_choice_options(self.base)
+
+    @functools.cached_property
+    def one_cell_choice(self) -> dict:
+        return _one_cell_choice(self.base)
+
+    def relation_pairs(self, reads_r: bool, reads_re: bool) -> list[tuple[frozenset, frozenset]]:
+        pairs = self._pairs.get((reads_r, reads_re))
+        if pairs is None:
+            pairs = self._pairs[(reads_r, reads_re)] = _relation_pairs(self.base, reads_r, reads_re)
+        return pairs
+
+    def frame(self, choice: int, r: frozenset, re: frozenset) -> JstitFrame:
+        """The frame with the choice-th joint choice map and relations r and
+        re; the first map is the one-cell map, built without the others."""
+        key = (choice, r, re)
+        frame = self._frames.get(key)
+        if frame is not None:
+            self._frames.move_to_end(key)
+            return frame
+        cm = self.one_cell_choice if choice == 0 else self.joint_choices[choice]
+        # r and re come from _relation_pairs, already closed preorders
+        frame = self._frames[key] = JstitFrame(
+            self.moments, self.edges, agents=self.base.agents, choice=cm, r=r, re=re,
+            close_relations=False)
+        if len(self._frames) > _FRAMES_PER_TREE:
+            self._frames.popitem(last=False)
+        return frame
+
+    def acts(self, k: int) -> Iterator[tuple[int, ...]]:
+        """Every act over k polynomials that is constant on each slot and
+        holds at every slot its parent slot's polynomials, as the placement
+        of each polynomial: the first slot outermost, each slot's additions
+        over its parent's smallest first."""
+        up, placed = self._up, [0] * k
+        held = [0] * len(up)  # per slot, a bit set of polynomials
+
+        def rec(i: int) -> Iterator[tuple[int, ...]]:
+            if i == len(up):
+                yield tuple(placed)
+                return
+            floor = held[up[i]] if up[i] is not None else 0
+            free = [j for j in range(k) if not floor >> j & 1]
+            for size in range(len(free) + 1):
+                for extra in itertools.combinations(free, size):
+                    held[i] = bits = floor | sum(1 << j for j in extra)
+                    for j in range(k):
+                        placed[j] = placed[j] & ~(1 << i) | (bits >> j & 1) << i
+                    yield from rec(i + 1)
+
+        return rec(0)
+
+    def act(self, polys: list, placements: tuple[int, ...]) -> dict:
+        """The act keyed by moment-history pair that places polys[j] at the
+        slots of placements[j]."""
+        held = [frozenset(t for t, p in zip(polys, placements) if p >> i & 1)
+                for i in range(len(self.slots))]
+        return {pair: held[i] for pair, i in self._pair_slot}
+
+    def valid_placements(self, frame: JstitFrame) -> frozenset[int]:
+        """The placements valid on frame, a frame on this tree: act validity
+        reads only the order, the dense pairs and re, so this is decided
+        once per re."""
+        valid = self._valid.get(frame.re)
+        if valid is None:
+            valid = self._valid[frame.re] = frozenset(
+                p for p, in self.acts(1)
+                if not violations(act_violations(frame, self.act([_PLACED], (p,)))))
+        return valid
+
+
+@functools.lru_cache(maxsize=_TREE_TABLES)
+def _tree_table(parents: tuple[int, ...], agents: int) -> _TreeTable:
+    return _TreeTable(parents, agents)
+
+
+def _trees(bounds: SearchBounds) -> Iterator[_TreeTable]:
+    """The table of each rooted tree within the bounds, fewest moments
+    first and then by parent vector."""
     for n in range(1, bounds.max_moments + 1):
         for parents in _parent_vectors(n):
-            moments = [f"m{i}" for i in range(n)]
-            edges = [(moments[p], moments[i + 1]) for i, p in enumerate(parents)]
-            base = JstitFrame(moments, edges, agents=bounds.agents)
-            if len(base.histories) > bounds.max_histories:
-                continue
-            through = {m: [h.name for h in base.histories_through(m)] for m in moments}
-            # the class above m's slots holds the histories through m: a
-            # history sharing a moment after m's parent with one passes m
-            up = {m: (p, frozenset(through[m])) for p, m in edges}
-            parent_slot = {(m, cls): up.get(m)
-                           for m in moments for cls in base.undivided_classes(m)}
-            yield moments, edges, base, parent_slot, [(m, h) for m in moments for h in through[m]]
+            tree = _tree_table(parents, bounds.agents)
+            if len(tree.base.histories) <= bounds.max_histories:
+                yield tree
 
 
 def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
@@ -239,11 +353,14 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     in that class within the bounds.
 
     The enumeration has four layers, each nested in the one before:
-      - trees (_trees), which do not depend on f;
+      - trees (_trees), which do not depend on f: each is a _TreeTable,
+        built on the first search that reaches it and kept for the process;
       - frames on a tree: choice maps (_joint_choice_options) times
-        relation pairs (_relation_pairs);
-      - acts on a frame (_act_assignments), each decided once per tree, re
-        and position in the enumeration;
+        relation pairs (_relation_pairs), each frame built once per table;
+      - acts on a frame (_TreeTable.acts), each the placement of every
+        announced polynomial, and valid iff every placement is in the
+        table's valid placements for the frame's re (one act_violations
+        call per placement and re, on the one-polynomial act);
       - valuations of a valid act, decided a block at a time.
 
     Only the parts of a model that f can read are enumerated (its cone of
@@ -267,7 +384,8 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
     bit v is its truth under valuation v, so one evaluation settles a block.
     The first counter-model is the lowest valuation falsifying f at some
     index, taken at its first such index in mh_pairs order, and only that
-    model and its universe are built.
+    model and its universe are built. Its frame is the one the tree table
+    keeps, shared with later searches, so it must not be mutated.
     """
     check_agents(f, bounds.agents)
     parts = subformulas(f)
@@ -288,14 +406,13 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
         nonlocal inspected
         inspected += k
         if inspected > bounds.budget:
-            n = len(moments)
+            n = len(tree.moments)
             raise ResourceBoundExceeded(
                 f"counter-model search exceeded budget of {bounds.budget} candidates"
                 f" (at {n} moment{'' if n == 1 else 's'})")
 
-    for moments, edges, base, parent_slot, mh in _trees(bounds):
-        joint_choices = _joint_choice_options(base) if reads_choice else [_one_cell_choice(base)]
-        rel_pairs = _relation_pairs(base, reads_r, reads_re)
+    for tree in _trees(bounds):
+        mh = tree.mh
         # valuation v makes cell i true iff bit i of v is set
         cells = [(p, pair) for p in pvars for pair in mh]
         valuation_count = 1 << len(cells)
@@ -316,21 +433,16 @@ def find_countermodel(f: Formula, bounds: SearchBounds = SearchBounds()
                     for i, (p, (m, h)) in enumerate(cells)}
             return table
 
-        # act validity reads the order, the dense pairs and re, and the act
-        # enumeration is the same for every frame on the tree, so one
-        # verdict per (re, position)
-        verdicts_by_re: dict[frozenset, list[bool]] = {}
-        for choice in joint_choices:
-            for r, re in rel_pairs:
-                frame = JstitFrame(moments, edges, agents=bounds.agents,
-                                   choice=choice, r=r, re=re)
-                verdicts = verdicts_by_re.setdefault(re, [])
-                for pos, act in enumerate(_act_assignments(parent_slot, announced)):
-                    if pos == len(verdicts):
-                        verdicts.append(not violations(act_violations(frame, act)))
-                    if not verdicts[pos]:
+        for choice in range(len(tree.joint_choices) if reads_choice else 1):
+            for r, re in tree.relation_pairs(reads_r, reads_re):
+                frame = tree.frame(choice, r, re)
+                # with nothing announced the one act is the empty one
+                valid = tree.valid_placements(frame) if announced else ()
+                for placements in tree.acts(len(announced)):
+                    if not all(p in valid for p in placements):
                         spend(valuation_count)
                         continue
+                    act = tree.act(announced, placements)
                     for lo in range(0, valuation_count, width):
                         block = min(width, bounds.budget - inspected + 1)
                         ev = _Evaluator(frame, act, evidence_at, atoms_at(lo), full)
@@ -404,25 +516,6 @@ def _relation_pairs(base: JstitFrame, reads_r: bool = True, reads_re: bool = Tru
             if r <= re:
                 pairs.setdefault((r if reads_r else None, re if reads_re else None), (r, re))
     return list(pairs.values())
-
-
-def _act_assignments(parent_slot: dict, polys: list) -> Iterator[dict]:
-    """Every act keyed by moment-history pair that is constant on each slot
-    and holds at every slot its parent slot's polynomials: the first slot
-    outermost, each slot's additions over its parent's smallest first."""
-    slots = list(parent_slot)
-
-    def rec(i: int, acc: dict) -> Iterator[dict]:
-        if i == len(slots):
-            yield {(m, h): acc[(m, cls)] for m, cls in slots for h in cls}
-            return
-        up = parent_slot[slots[i]]
-        floor = acc[up] if up is not None else frozenset()
-        for extra in _subsets_of([t for t in polys if t not in floor]):
-            acc[slots[i]] = floor | extra
-            yield from rec(i + 1, acc)
-
-    yield from rec(0, {})
 
 
 def _low_bit_vectors(width: int) -> list[int]:

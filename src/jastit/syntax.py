@@ -109,6 +109,7 @@ class _Interned(type):
         ref = cls._table.get(fields)
         node = None if ref is None else ref()
         if node is None:
+            cls._check_new(*fields)
             node = super().__call__(*fields)
             object.__setattr__(node, "_hash", hash(fields))
             ref = _Ref(node, cls._forget)
@@ -130,6 +131,11 @@ class _Term(metaclass=_Interned):
     def _check(*fields) -> None:
         """Reject bad scalar fields; runs on every call, before the table
         is consulted, because True == 1 would find a Cstit of agent 1."""
+
+    @staticmethod
+    def _check_new(*fields) -> None:
+        """Reject bad scalar fields that only a miss can hold: a name that
+        equals an interned node's name is that checked string."""
 
     def __hash__(self) -> int:
         return self._hash
@@ -181,7 +187,7 @@ class ProofVar(_Term):
     name: str
 
     @staticmethod
-    def _check(name: str) -> None:
+    def _check_new(name: str) -> None:
         _require_ident(name)
         if name[0] in "cd":
             raise ValueError(
@@ -193,7 +199,7 @@ class ProofConst(_Term):
     name: str
 
     @staticmethod
-    def _check(name: str) -> None:
+    def _check_new(name: str) -> None:
         _require_ident(name)
         if name[0] not in "cd":
             raise ValueError(f"proof constants must start with 'c' or 'd', got {name!r}")
@@ -231,7 +237,7 @@ Polynomial = Union[ProofVar, ProofConst, Sum, App, Check]
 class PropVar(_Term):
     name: str
 
-    _check = staticmethod(_require_ident)
+    _check_new = staticmethod(_require_ident)
 
 
 @_node

@@ -381,6 +381,41 @@ def naive_acts(slots: dict, polys: list):
             yield {(m, h): ts for (m, cls), ts in act.items() for h in cls}
 
 
+def naive_act_valid(frame, act: dict) -> bool:
+    """The four Act conditions on an act keyed by every moment-history pair
+    of frame, over the raw order, dense pairs and re. A proof is settled at
+    m when it is presented on every history through m. Presented proofs
+    stay presented at later moments of the same history; a proof settled at
+    m was presented strictly before m on a history through m, unless a
+    dense pair ends at m; histories undivided at m present the same proofs
+    there; and a proof settled at m is settled at each re-successor of m."""
+    hsets = _history_sets(frame)
+    through = {m: [n for n, s in hsets.items() if m in s] for m in frame.moments}
+    proofs = {t for ts in act.values() for t in ts}
+
+    def settled(m: str) -> set:
+        return {t for t in proofs if all(t in act[(m, n)] for n in through[m])}
+
+    for m in frame.moments:
+        for m2 in frame.moments:
+            if naive_lt(frame.leq, m, m2) and any(
+                    not act[(m, n)] <= act[(m2, n)] for n in through[m2] if n in through[m]):
+                return False
+    for m in frame.moments:
+        if any(b == m for _, b in frame.dense):
+            continue
+        before = {t for m2 in frame.moments if naive_lt(frame.leq, m2, m)
+                  for n in through[m] if n in through[m2] for t in act[(m2, n)]}
+        if not settled(m) <= before:
+            return False
+    for m in frame.moments:
+        for n in through[m]:
+            for g in through[m]:
+                if naive_undivided(frame, m, hsets[n], hsets[g]) and act[(m, n)] != act[(m, g)]:
+                    return False
+    return all(settled(m) <= settled(m2) for m, m2 in frame.re if m != m2)
+
+
 def _valuations(pvars: list[str], mh: list[tuple[str, str]]):
     """Every valuation of pvars over the pairs mh, in the search's order:
     the v-th makes cell i of [(p, pair) for p in pvars for pair in mh]

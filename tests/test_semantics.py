@@ -9,12 +9,12 @@ from jastit.calculus import SCHEME_IDS
 from jastit.documents import canonical_json, dump_model
 from jastit.generators import all_trees, random_formula, random_jstit_frame, random_model, scheme_instance
 from oracles import (
-    naive_acts, naive_find_countermodel, naive_partitions, naive_preorders, naive_satisfies,
-    naive_slots,
+    naive_act_valid, naive_acts, naive_find_countermodel, naive_partitions, naive_preorders,
+    naive_satisfies, naive_slots,
 )
 from jastit.diagnostics import ResourceBoundExceeded, violations
 from jastit.frames import JstitFrame, is_regular, validate_frame
-from jastit.models import JstitModel, OutOfUniverseError, Universe, validate_model
+from jastit.models import JstitModel, OutOfUniverseError, Universe, act_violations, validate_model
 from jastit import semantics
 from jastit.semantics import Index, SearchBounds, find_countermodel, satisfies, valid_in_model
 from jastit.countermodels import RegWitness, TARGET_FORMULA, build_jstit_countermodel
@@ -351,16 +351,17 @@ def _table_key(choice: dict) -> frozenset:
 def test_search_layers_agree_with_brute_force_on_small_trees():
     x, y = ProofVar("x"), ProofVar("y")
     trees = 0
-    for moments, edges, base, parent_slot, mh in semantics._trees(SearchBounds(max_moments=4)):
+    for tree in semantics._trees(SearchBounds(max_moments=4)):
+        moments, edges, base, mh = tree.moments, tree.edges, tree.base, tree.mh
         trees += 1
         slots = naive_slots(base)
-        assert list(parent_slot.items()) == list(slots.items()), edges
-        acts = list(semantics._act_assignments(parent_slot, [x, y]))
+        assert list(tree.parent_slot.items()) == list(slots.items()), edges
+        acts = [tree.act([x, y], p) for p in tree.acts(2)]
         assert acts == list(naive_acts(slots, [x, y])), edges
         # validate_model reads neither choice nor r, and the order's re
         # admits every act a larger re does: the act layer is complete
         universe = Universe.close(polynomials=[x])
-        acts = list(semantics._act_assignments(parent_slot, [x]))
+        acts = [tree.act([x], p) for p in tree.acts(1)]
         for picks in itertools.product((frozenset(), frozenset([x])), repeat=len(mh)):
             act = dict(zip(mh, picks))
             if not violations(validate_model(JstitModel(base, universe, act))):
@@ -384,14 +385,74 @@ def test_search_layers_agree_with_brute_force_on_small_trees():
 def test_one_cell_choice_is_the_first_joint_choice():
     trees = 0
     for agents in (1, 2, 3):
-        for _, _, base, _, _ in semantics._trees(SearchBounds(max_moments=4, agents=agents)):
-            first = semantics._joint_choice_options(base)[0]
-            assert list(semantics._one_cell_choice(base).items()) == list(first.items())
+        for tree in semantics._trees(SearchBounds(max_moments=4, agents=agents)):
+            first = semantics._joint_choice_options(tree.base)[0]
+            assert list(semantics._one_cell_choice(tree.base).items()) == list(first.items())
+            assert tree.one_cell_choice == tree.joint_choices[0] == first
             trees += 1
     assert trees == 30
 
 
-def test_search_builds_only_the_returned_model(monkeypatch):
+def test_placement_table_agrees_with_naive_act_oracle():
+    # an act is valid iff each of its placements is: the table's verdict
+    # equals the naive restatement and act_violations on every act over
+    # {x, y}, every tree of 1-4 moments and every re the search visits
+    x, y = ProofVar("x"), ProofVar("y")
+    triples = 0
+    for tree in semantics._trees(SearchBounds(max_moments=4)):
+        acts = [(p, tree.act([x, y], p)) for p in tree.acts(2)]
+        for r, re in tree.relation_pairs(False, True):
+            frame = tree.frame(0, r, re)
+            valid = tree.valid_placements(frame)
+            for placements, act in acts:
+                verdict = all(p in valid for p in placements)
+                assert verdict == naive_act_valid(frame, act), (tree.edges, sorted(re), act)
+                assert verdict == (not violations(act_violations(frame, act)))
+                triples += 1
+    assert triples == 44_130
+
+
+@pytest.fixture
+def fresh_tables():
+    # the search keeps its tree tables for the process: a test that patches
+    # what builds them starts and ends without any
+    semantics._tree_table.cache_clear()
+    yield
+    semantics._tree_table.cache_clear()
+
+
+def test_search_tables_are_built_once_and_bounded(monkeypatch, fresh_tables):
+    frames, decided = [], []
+
+    class CountingFrame(JstitFrame):
+        def __init__(self, *args, **kwargs):
+            frames.append(args)
+            super().__init__(*args, **kwargs)
+
+    def counting_act_violations(frame, act):
+        decided.append(act)
+        return act_violations(frame, act)
+
+    monkeypatch.setattr(semantics, "JstitFrame", CountingFrame)
+    monkeypatch.setattr(semantics, "act_violations", counting_act_violations)
+    for text in ("E x -> Box E x", "E x -> E x"):
+        semantics._tree_table.cache_clear()
+        first = find_countermodel(parse_formula(text))
+        assert frames and decided
+        frames.clear()
+        decided.clear()
+        assert find_countermodel(parse_formula(text)) == first
+        assert frames == [] and decided == []
+    # the four-moment star has 405 relation pairs and several joint choice
+    # maps; the budget stops the search well inside it
+    with pytest.raises(ResourceBoundExceeded):
+        find_countermodel(parse_formula("[0] K E x -> K E x"),
+                          SearchBounds(max_moments=4, budget=20_000))
+    held = [len(tree._frames) for tree in semantics._trees(SearchBounds(max_moments=4))]
+    assert max(held) == semantics._FRAMES_PER_TREE, held
+
+
+def test_search_builds_only_the_returned_model(monkeypatch, fresh_tables):
     # act validity is decided from the frame and the act, so no other
     # model is built and validate_model, which takes a model, is not called
     built = []
